@@ -75,14 +75,14 @@ runShape(std::uint32_t page_size, std::uint32_t buffer_pages,
 
     Outcome o;
     const double flushes =
-        static_cast<double>(store.writeBuffer().statFlushes.value());
+        static_cast<double>(store.writeBuffer().metFlushes.value());
     o.flushesPerTxn = flushes / static_cast<double>(txns);
     o.amplification = flushes * page_size /
                       static_cast<double>(bytes_written);
     const double writes = static_cast<double>(
-        ctl.statHostWrites.value());
+        ctl.metHostWrites.value());
     o.bufferHitRate =
-        static_cast<double>(ctl.statBufferHits.value()) / writes;
+        static_cast<double>(ctl.metBufferHits.value()) / writes;
     return o;
 }
 

@@ -218,8 +218,8 @@ runClean(bool slow, std::uint64_t cleans)
     Measurement m;
     const auto t0 = Clock::now();
     const std::uint64_t target =
-        store.cleanerRef().statCleans.value() + cleans;
-    while (store.cleanerRef().statCleans.value() < target) {
+        store.cleanerRef().metSegmentsCleaned.value() + cleans;
+    while (store.cleanerRef().metSegmentsCleaned.value() < target) {
         std::uint8_t byte = 1;
         store.write(rng.below(store.size() / ps) * ps, {&byte, 1});
     }

@@ -70,8 +70,8 @@ writeToDeath(bool leveling, std::uint64_t rated_cycles)
         store.controller().write(page * ps, {&b, 1});
         ++r.hostWrites;
     }
-    r.pagesFlushed = store.writeBuffer().statFlushes.value();
-    r.erases = store.flash().statSegmentErases.value();
+    r.pagesFlushed = store.writeBuffer().metFlushes.value();
+    r.erases = store.flash().metErases.value();
     r.wearSpread = store.wearLeveler().spread(store.space());
     r.cleaningCost = store.cleaningCost();
     return r;

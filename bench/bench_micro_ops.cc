@@ -288,8 +288,8 @@ BM_SegmentClean(benchmark::State &state)
     for (auto _ : state) {
         // Drive writes until one more clean has happened.
         const std::uint64_t target =
-            store.cleanerRef().statCleans.value() + 1;
-        while (store.cleanerRef().statCleans.value() < target) {
+            store.cleanerRef().metSegmentsCleaned.value() + 1;
+        while (store.cleanerRef().metSegmentsCleaned.value() < target) {
             std::uint8_t b = 1;
             store.write(rng.below(store.size() / ps) * ps, {&b, 1});
         }
@@ -297,7 +297,7 @@ BM_SegmentClean(benchmark::State &state)
     }
     state.counters["pages/clean"] = benchmark::Counter(
         static_cast<double>(
-            store.cleanerRef().statCleanerPrograms.value()) /
+            store.cleanerRef().metPagesCopied.value()) /
         static_cast<double>(cleans));
 }
 BENCHMARK(BM_SegmentClean);

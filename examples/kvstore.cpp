@@ -121,9 +121,9 @@ main(int argc, char **argv)
         std::printf("copy-on-writes %llu, cleans %llu, cleaning "
                     "cost %.2f, wear spread %llu\n",
                     static_cast<unsigned long long>(
-                        store->controller().statCows.value()),
+                        store->controller().metCows.value()),
                     static_cast<unsigned long long>(
-                        store->cleanerRef().statCleans.value()),
+                        store->cleanerRef().metSegmentsCleaned.value()),
                     store->cleaningCost(),
                     static_cast<unsigned long long>(
                         store->wearLeveler().spread(store->space())));

@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
 #include "envy/envy_store.hh"
 
@@ -72,9 +71,9 @@ main()
     std::printf("after churn: %llu copy-on-writes, %llu cleans, "
                 "cleaning cost %.2f\n",
                 static_cast<unsigned long long>(
-                    store.controller().statCows.value()),
+                    store.controller().metCows.value()),
                 static_cast<unsigned long long>(
-                    store.cleanerRef().statCleans.value()),
+                    store.cleanerRef().metSegmentsCleaned.value()),
                 store.cleaningCost());
 
     // 4. Power failure: the page table and write buffer live in
@@ -89,7 +88,12 @@ main()
                                             region_pages) *
                                   ps));
 
-    std::printf("\nfull statistics:\n");
-    store.printStats(std::cout);
+    std::printf("\nevent counters:\n");
+    for (const auto &e : store.metrics().snapshot().entries) {
+        if (e.kind == obs::MetricKind::Counter)
+            std::printf("  %-28s %12llu %s\n", e.name.c_str(),
+                        static_cast<unsigned long long>(e.value),
+                        e.unit.c_str());
+    }
     return 0;
 }

@@ -77,13 +77,13 @@ main(int argc, char **argv)
                 "copy-on-writes, %llu flushes, %llu cleans, "
                 "cleaning cost %.2f\n",
                 static_cast<unsigned long long>(
-                    store.controller().statHostWrites.value()),
+                    store.controller().metHostWrites.value()),
                 static_cast<unsigned long long>(
-                    store.controller().statCows.value()),
+                    store.controller().metCows.value()),
                 static_cast<unsigned long long>(
-                    store.writeBuffer().statFlushes.value()),
+                    store.writeBuffer().metFlushes.value()),
                 static_cast<unsigned long long>(
-                    store.cleanerRef().statCleans.value()),
+                    store.cleanerRef().metSegmentsCleaned.value()),
                 store.cleaningCost());
 
     std::int64_t branch_sum = 0;

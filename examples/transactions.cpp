@@ -92,14 +92,14 @@ main()
     {
         const auto t = txns.begin();
         setBalance(txns, t, alice, 0); // to be rolled back
-        const auto cleans0 = store.cleanerRef().statCleans.value();
+        const auto cleans0 = store.cleanerRef().metSegmentsCleaned.value();
         Rng rng(9);
         for (int i = 0; i < 60000; ++i)
             store.writeU8(rng.below(store.size()), 0x5A);
         std::printf("ground the store: %llu cleans while the "
                     "transaction stayed open\n",
                     static_cast<unsigned long long>(
-                        store.cleanerRef().statCleans.value() -
+                        store.cleanerRef().metSegmentsCleaned.value() -
                         cleans0));
         txns.abort(t);
         std::printf("after abort-under-churn: alice=%lld "

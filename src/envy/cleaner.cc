@@ -25,36 +25,28 @@ victimLiveEdges()
 } // namespace
 
 Cleaner::Cleaner(SegmentSpace &space, Mmu &mmu,
-                 WearLeveler *wear_leveler, StatGroup *parent,
+                 WearLeveler *wear_leveler,
                  obs::MetricsRegistry *metrics)
-    : StatGroup("cleaner", parent),
-      statCleans(this, "cleans", "segment cleaning operations"),
-      statCleanerPrograms(this, "cleanerPrograms",
-                          "page programs performed by the cleaner"),
-      statWearRotations(this, "wearRotations",
-                        "wear-leveling data rotations"),
-      metSegmentsCleaned(obs::counterOf(metrics,
-                                        "cleaner.segments_cleaned",
-                                        "segments",
-                                        "segment cleaning operations")),
-      metPagesCopied(obs::counterOf(metrics, "cleaner.pages_copied",
-                                    "pages",
-                                    "page programs performed by the "
-                                    "cleaner (diverts included)")),
-      metCleaningCost(obs::gaugeOf(metrics, "cleaner.cleaning_cost",
-                                   "programs/flush",
-                                   "cleaner programs per flushed page "
-                                   "(paper section 4.1), updated after "
-                                   "every clean")),
-      metVictimLive(obs::histogramOf(metrics, "cleaner.victim_live",
-                                     "pages",
-                                     "live pages per cleaned victim",
-                                     victimLiveEdges())),
-      space_(space),
+    : space_(space),
       mmu_(mmu),
       wearLeveler_(wear_leveler),
       copyData_(space.flash().storesData())
 {
+    obs::MetricsRegistry &reg = obs::registryOr(metrics, ownMetrics_);
+    metSegmentsCleaned = reg.counter("cleaner.segments_cleaned",
+                                     "segments",
+                                     "segment cleaning operations");
+    metPagesCopied = reg.counter("cleaner.pages_copied", "pages",
+                                 "page programs performed by the "
+                                 "cleaner (diverts included)");
+    metCleaningCost = reg.gauge("cleaner.cleaning_cost",
+                                "programs/flush",
+                                "cleaner programs per flushed page "
+                                "(paper section 4.1), updated after "
+                                "every clean");
+    metVictimLive = reg.histogram("cleaner.victim_live", "pages",
+                                  "live pages per cleaned victim",
+                                  victimLiveEdges());
     if (copyData_)
         scratch_.resize(space_.flash().geom().pageSize);
 }
@@ -74,7 +66,6 @@ Cleaner::relocate(SegmentId src_phys, SlotId slot,
     ENVY_CRASH_POINT("cleaner.relocate.after_map");
     flash.invalidatePage(src);
     ENVY_CRASH_POINT("cleaner.relocate.done");
-    ++statCleanerPrograms;
     metPagesCopied.add();
     chargeBusy(flash.timing().readTime +
                flash.timing().programTimeAfter(
@@ -97,7 +88,6 @@ Cleaner::moveShadows(SegmentId src, SegmentId dst)
         const FlashPageAddr to = flash.appendShadow(dst, scratch_);
         ENVY_CRASH_POINT("cleaner.shadow.after_program");
         flash.invalidatePage(from);
-        ++statCleanerPrograms;
         metPagesCopied.add();
         chargeBusy(flash.timing().readTime +
                    flash.timing().programTime);
@@ -210,7 +200,6 @@ Cleaner::cleanInternal(std::uint32_t log_seg, CleaningPolicy *policy,
     ENVY_CRASH_POINT("cleaner.clean.after_commit");
     space_.noteClean(log_seg);
     space_.clearCleanRecord();
-    ++statCleans;
     metSegmentsCleaned.add();
     metVictimLive.record(live_total.value());
     metCleaningCost.set(cleaningCost());
@@ -283,7 +272,7 @@ Cleaner::cleaningCost() const
     const std::uint64_t flushed = space_.flushClock();
     if (flushed == 0)
         return 0.0;
-    return static_cast<double>(statCleanerPrograms.value()) /
+    return static_cast<double>(metPagesCopied.value()) /
            static_cast<double>(flushed);
 }
 

@@ -19,19 +19,19 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/thread_annotations.hh"
 #include "envy/mmu.hh"
 #include "envy/policy/cleaning_policy.hh"
 #include "envy/segment_space.hh"
-#include "sim/stats.hh"
 
 namespace envy {
 
 class WearLeveler;
 
-class Cleaner : public StatGroup
+class Cleaner
 {
   public:
     struct CleanResult
@@ -43,7 +43,6 @@ class Cleaner : public StatGroup
 
     Cleaner(SegmentSpace &space, Mmu &mmu,
             WearLeveler *wear_leveler = nullptr,
-            StatGroup *parent = nullptr,
             obs::MetricsRegistry *metrics = nullptr);
 
     /**
@@ -106,11 +105,9 @@ class Cleaner : public StatGroup
     std::function<void(FlashPageAddr from, FlashPageAddr to)>
         shadowMoved;
 
-    Counter statCleans;
-    Counter statCleanerPrograms;
-    Counter statWearRotations;
-
-    // Observability metrics (docs/OBSERVABILITY.md).
+    // Event counts (docs/OBSERVABILITY.md); a private registry holds
+    // them when the cleaner is built without one, so cleaningCost()
+    // always has its numerator.
     obs::Counter metSegmentsCleaned;
     obs::Counter metPagesCopied;   //!< cleaner programs, diverts included
     obs::Gauge metCleaningCost;    //!< cleaningCost() after each clean
@@ -161,6 +158,8 @@ class Cleaner : public StatGroup
         tlBusy_ += t;
     }
     static thread_local Tick tlBusy_;
+
+    std::unique_ptr<obs::MetricsRegistry> ownMetrics_;
 };
 
 } // namespace envy

@@ -14,14 +14,15 @@ thread_local Tick Controller::tlDeviceBusy_ = 0;
 
 namespace {
 
-// Flush-latency buckets in device ticks (ns): flush alone is a few
-// hundred µs; a flush that triggered cleaning or an erase lands in
-// the ms decades.
+// Flush-latency buckets in device ticks (ns): a plain flush is one
+// page program (4 us, up to ~2x with wear) and lands in (1 us, 10 us];
+// a flush that pays for an inline clean adds at least one segment
+// erase (50 ms) and lands in the tens-of-ms decades or above.
 std::vector<std::uint64_t>
 flushTickEdges()
 {
-    return {100'000, 300'000, 1'000'000, 3'000'000, 10'000'000,
-            30'000'000, 100'000'000, 300'000'000, 1'000'000'000};
+    return {1'000, 10'000, 100'000, 1'000'000, 10'000'000, 30'000'000,
+            100'000'000, 300'000'000, 1'000'000'000};
 }
 
 } // namespace
@@ -30,52 +31,8 @@ Controller::Controller(const Geometry &geom, FlashArray &flash,
                        Mmu &mmu, WriteBuffer &buffer,
                        SegmentSpace &space, Cleaner &cleaner,
                        CleaningPolicy &policy, bool auto_drain,
-                       StatGroup *parent, obs::MetricsRegistry *metrics)
-    : StatGroup("controller", parent),
-      statHostReads(this, "hostReads", "host read accesses"),
-      statHostWrites(this, "hostWrites", "host write accesses"),
-      statCows(this, "cows", "copy-on-write operations"),
-      statBufferHits(this, "bufferHits",
-                     "writes absorbed by a resident buffer page"),
-      statForegroundFlushes(this, "foregroundFlushes",
-                            "flushes a host write had to wait for"),
-      statFlushRetries(this, "flushRetries",
-                       "flush programs retried after a spec-failure"),
-      metHostReads(obs::counterOf(metrics, "ctl.host_reads", "accesses",
-                                  "host read accesses")),
-      metHostWrites(obs::counterOf(metrics, "ctl.host_writes",
-                                   "accesses", "host write accesses")),
-      metCows(obs::counterOf(metrics, "ctl.cows", "pages",
-                             "copy-on-write operations")),
-      metBufferHits(obs::counterOf(metrics, "ctl.buffer_hits",
-                                   "accesses",
-                                   "writes absorbed by a resident "
-                                   "buffer page")),
-      metForegroundFlushes(obs::counterOf(metrics,
-                                          "ctl.foreground_flushes",
-                                          "flushes",
-                                          "flushes a host write had to "
-                                          "wait for")),
-      metFlushRetries(obs::counterOf(metrics, "ctl.flush_retries",
-                                     "programs",
-                                     "flush programs retried after a "
-                                     "spec-failure")),
-      metBackpressureWaits(obs::counterOf(metrics,
-                                          "ctl.backpressure_waits",
-                                          "waits",
-                                          "producer waits for buffer "
-                                          "room while cleaners catch "
-                                          "up (concurrent mode)")),
-      metBackgroundCleans(obs::counterOf(metrics,
-                                         "ctl.background_cleans",
-                                         "segments",
-                                         "segments cleaned by the "
-                                         "background cleaner pool")),
-      metFlushTicks(obs::histogramOf(metrics, "ctl.flush_ticks", "ns",
-                                     "device time consumed per flush, "
-                                     "cleaning included",
-                                     flushTickEdges())),
-      geom_(geom),
+                       obs::MetricsRegistry *metrics)
+    : geom_(geom),
       flash_(flash),
       mmu_(mmu),
       buffer_(buffer),
@@ -85,6 +42,36 @@ Controller::Controller(const Geometry &geom, FlashArray &flash,
       autoDrain_(auto_drain),
       scratch_(flash.storesData() ? geom.pageSize : 0)
 {
+    obs::MetricsRegistry &reg = obs::registryOr(metrics, ownMetrics_);
+    metHostReads = reg.counter("ctl.host_reads", "accesses",
+                               "host read accesses");
+    metHostWrites = reg.counter("ctl.host_writes", "accesses",
+                                "host write accesses");
+    metCows = reg.counter("ctl.cows", "pages",
+                          "copy-on-write operations");
+    metBufferHits = reg.counter("ctl.buffer_hits", "accesses",
+                                "writes absorbed by a resident buffer "
+                                "page");
+    metForegroundFlushes = reg.counter("ctl.foreground_flushes",
+                                       "flushes",
+                                       "flushes a host write had to "
+                                       "wait for");
+    metFlushRetries = reg.counter("ctl.flush_retries", "programs",
+                                  "flush programs retried after a "
+                                  "spec-failure");
+    metBackpressureWaits = reg.counter("ctl.backpressure_waits",
+                                       "waits",
+                                       "producer waits for buffer room "
+                                       "while cleaners catch up "
+                                       "(concurrent mode)");
+    metBackgroundCleans = reg.counter("ctl.background_cleans",
+                                      "segments",
+                                      "segments cleaned by the "
+                                      "background cleaner pool");
+    metFlushTicks = reg.histogram("ctl.flush_ticks", "ns",
+                                  "device time consumed per flush, "
+                                  "cleaning included",
+                                  flushTickEdges());
     policy_.attach(space_, cleaner_);
     for (std::uint64_t i = 0; i < numShards; ++i)
         shardMu_.emplace_back();
@@ -207,10 +194,10 @@ Controller::read(Addr addr, std::span<std::uint8_t> out)
             static_cast<std::uint32_t>(a % geom_.pageSize);
         const std::size_t n = std::min<std::size_t>(
             out.size() - done, geom_.pageSize - off);
-        ++statHostReads;
         metHostReads.add();
 
-        const PageTable::Location loc = mmu_.lookup(page);
+        const PageTable::Location loc =
+            mmu_.lookup(page, &outcome.tlbMiss);
         switch (loc.kind) {
           case PageTable::LocKind::Sram:
             outcome.hitSram = true;
@@ -248,11 +235,10 @@ bool
 Controller::probeRead(Addr addr)
 {
     checkRange(addr, 1);
-    ++statHostReads;
     metHostReads.add();
-    const std::uint64_t misses = mmu_.statMisses.value();
-    mmu_.lookup(pageOf(addr));
-    return mmu_.statMisses.value() != misses;
+    bool miss = false;
+    mmu_.lookup(pageOf(addr), &miss);
+    return miss;
 }
 
 BufferSlotId
@@ -292,7 +278,6 @@ Controller::cowCore(LogicalPageId page, const PageTable::Location &loc,
     ENVY_CRASH_POINT("ctl.cow.done");
 
     outcome.cow = true;
-    ++statCows;
     metCows.add();
     ENVY_TRACE("ctl.cow", obs::tv("page", page.value()),
                obs::tv("slot", slot.value()),
@@ -311,10 +296,9 @@ Controller::copyOnWrite(LogicalPageId page,
     while (buffer_.full()) {
         outcome.deviceBusy += flushOneLocked();
         ++outcome.foregroundFlushes;
-        ++statForegroundFlushes;
         metForegroundFlushes.add();
         // Cleaning may have relocated the page we are copying.
-        loc = mmu_.lookup(page);
+        loc = mmu_.lookup(page, &outcome.tlbMiss);
     }
     return cowCore(page, loc, outcome);
 }
@@ -335,15 +319,14 @@ Controller::write(Addr addr, std::span<const std::uint8_t> in)
             static_cast<std::uint32_t>(a % geom_.pageSize);
         const std::size_t n = std::min<std::size_t>(
             in.size() - done, geom_.pageSize - off);
-        ++statHostWrites;
         metHostWrites.add();
 
-        const PageTable::Location loc = mmu_.lookup(page);
+        const PageTable::Location loc =
+            mmu_.lookup(page, &outcome.tlbMiss);
         BufferSlotId slot;
         if (loc.kind == PageTable::LocKind::Sram) {
             slot = loc.sramSlot;
             outcome.hitSram = true;
-            ++statBufferHits;
             metBufferHits.add();
         } else {
             slot = copyOnWrite(page, loc, outcome);
@@ -434,7 +417,6 @@ Controller::flushTailCore(bool peek_only, bool *no_room)
             addr = res.addr;
             break;
         }
-        ++statFlushRetries;
         metFlushRetries.add();
         ENVY_CRASH_POINT("ctl.flush.after_program_failure");
     }
@@ -526,7 +508,6 @@ Controller::makeRoomBlocking(AccessOutcome &outcome)
             if (!no_room) {
                 outcome.deviceBusy += busy;
                 ++outcome.foregroundFlushes;
-                ++statForegroundFlushes;
                 metForegroundFlushes.add();
                 notifyRoom();
                 return;
@@ -549,7 +530,6 @@ Controller::makeRoomBlocking(AccessOutcome &outcome)
     bool no_room = false;
     outcome.deviceBusy += flushTailCore(false, &no_room);
     ++outcome.foregroundFlushes;
-    ++statForegroundFlushes;
     metForegroundFlushes.add();
     notifyRoom();
 }
@@ -567,7 +547,6 @@ Controller::hitWriteLocked(LogicalPageId page, BufferSlotId slot,
     if (buffer_.slotOwner(slot) != page)
         return false; // recycled since the lookup; retranslate
     outcome.hitSram = true;
-    ++statBufferHits;
     metBufferHits.add();
     if (flash_.storesData()) {
         auto dst = buffer_.slotData(slot);
@@ -583,7 +562,8 @@ Controller::writePageConcurrent(LogicalPageId page,
                                 AccessOutcome &outcome)
 {
     for (;;) {
-        const PageTable::Location loc = mmu_.lookup(page);
+        const PageTable::Location loc =
+            mmu_.lookup(page, &outcome.tlbMiss);
         if (loc.kind == PageTable::LocKind::Sram) {
             bool hit;
             if (persistentConcurrent_) {
@@ -612,7 +592,8 @@ Controller::writePageConcurrent(LogicalPageId page,
             continue; // filled while we took the lock; retry
         // Re-translate under the structural lock: a cleaner may have
         // relocated the flash copy since the unlocked lookup.
-        const PageTable::Location cur = mmu_.lookup(page);
+        const PageTable::Location cur =
+            mmu_.lookup(page, &outcome.tlbMiss);
         if (cur.kind == PageTable::LocKind::Sram)
             continue; // cannot happen while we hold the shard lock
         const BufferSlotId slot = cowCore(page, cur, outcome);
@@ -639,7 +620,6 @@ Controller::writeConcurrent(Addr addr, std::span<const std::uint8_t> in)
             static_cast<std::uint32_t>(a % geom_.pageSize);
         const std::size_t n = std::min<std::size_t>(
             in.size() - done, geom_.pageSize - off);
-        ++statHostWrites;
         metHostWrites.add();
         {
             ShardLock shard(shardMuFor(page));
@@ -671,12 +651,12 @@ Controller::readConcurrent(Addr addr, std::span<std::uint8_t> out)
             static_cast<std::uint32_t>(a % geom_.pageSize);
         const std::size_t n = std::min<std::size_t>(
             out.size() - done, geom_.pageSize - off);
-        ++statHostReads;
         metHostReads.add();
 
         ShardLock shard(shardMuFor(page));
         for (;;) {
-            const PageTable::Location loc = mmu_.lookup(page);
+            const PageTable::Location loc =
+                mmu_.lookup(page, &outcome.tlbMiss);
             if (loc.kind == PageTable::LocKind::Unmapped) {
                 std::fill_n(out.begin() + done, n, 0);
                 break;
@@ -698,7 +678,8 @@ Controller::readConcurrent(Addr addr, std::span<std::uint8_t> out)
             // relocate and erase under the exclusive side) away while
             // the bank read runs.
             SharedLock s(structMu_);
-            const PageTable::Location cur = mmu_.lookup(page);
+            const PageTable::Location cur =
+                mmu_.lookup(page, &outcome.tlbMiss);
             if (cur.kind != PageTable::LocKind::Flash ||
                 !(cur.flash == loc.flash))
                 continue; // moved before we got the lock; retry

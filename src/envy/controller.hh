@@ -24,6 +24,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <span>
 
 #include "common/geometry.hh"
@@ -32,7 +33,6 @@
 #include "envy/mmu.hh"
 #include "envy/policy/cleaning_policy.hh"
 #include "envy/segment_space.hh"
-#include "sim/stats.hh"
 #include "sram/write_buffer.hh"
 
 namespace envy {
@@ -60,14 +60,13 @@ class ENVY_SCOPED_CAPABILITY ShardLock
     Mutex &mu_;
 };
 
-class Controller : public StatGroup
+class Controller
 {
   public:
     Controller(const Geometry &geom, FlashArray &flash, Mmu &mmu,
                WriteBuffer &buffer, SegmentSpace &space,
                Cleaner &cleaner, CleaningPolicy &policy,
-               bool auto_drain, StatGroup *parent = nullptr,
-               obs::MetricsRegistry *metrics = nullptr);
+               bool auto_drain, obs::MetricsRegistry *metrics = nullptr);
 
     /** What a host access made the device do (for timing models). */
     struct AccessOutcome
@@ -76,6 +75,7 @@ class Controller : public StatGroup
         bool cow = false;          //!< a copy-on-write was performed
         std::uint64_t foregroundFlushes = 0; //!< full-buffer stalls
         Tick deviceBusy = 0; //!< flush/clean/erase time consumed
+        bool tlbMiss = false; //!< a translation walked the page table
     };
 
     /**
@@ -100,7 +100,7 @@ class Controller : public StatGroup
 
     /**
      * Lightweight host read for timing models: performs the MMU
-     * translation and statistics of a word read without moving data.
+     * translation and counting of a word read without moving data.
      *
      * @return true if the translation missed the TLB (the table walk
      *         costs an extra SRAM access).
@@ -202,14 +202,8 @@ class Controller : public StatGroup
      */
     std::function<bool(LogicalPageId, FlashPageAddr)> cowShadowHook;
 
-    Counter statHostReads;
-    Counter statHostWrites;
-    Counter statCows;
-    Counter statBufferHits;
-    Counter statForegroundFlushes;
-    Counter statFlushRetries;
-
-    // Observability metrics (docs/OBSERVABILITY.md).
+    // Event counts (docs/OBSERVABILITY.md); a private registry holds
+    // them when the controller is built without one.
     obs::Counter metHostReads;
     obs::Counter metHostWrites;
     obs::Counter metCows;
@@ -328,6 +322,8 @@ class Controller : public StatGroup
     std::condition_variable_any roomCv_;
 
     static thread_local Tick tlDeviceBusy_;
+
+    std::unique_ptr<obs::MetricsRegistry> ownMetrics_;
 };
 
 } // namespace envy

@@ -8,7 +8,7 @@
 namespace envy {
 
 EnvyStore::EnvyStore(const EnvyConfig &cfg)
-    : StatGroup("envy"), cfg_(cfg)
+    : cfg_(cfg)
 {
     const Geometry &g = cfg_.geom;
     if (const char *problem = g.validate())
@@ -36,27 +36,25 @@ EnvyStore::EnvyStore(const EnvyConfig &cfg)
 
     sram_ = std::make_unique<SramArray>(sram_bytes, true);
     flash_ = std::make_unique<FlashArray>(
-        g, cfg_.timing, cfg_.storeData, this, &metrics_,
+        g, cfg_.timing, cfg_.storeData, &metrics_,
         cfg_.slowDataplane,
         persist_ ? persist_->flashPersist() : nullptr);
     pageTable_ = std::make_unique<PageTable>(
         *sram_, ptBase_, g.physicalPages().value());
-    mmu_ = std::make_unique<Mmu>(*pageTable_, cfg_.tlbSize, this);
+    mmu_ = std::make_unique<Mmu>(*pageTable_, cfg_.tlbSize);
     buffer_ = std::make_unique<WriteBuffer>(
         *sram_, bufferBase_, buffer_pages, g.pageSize,
-        cfg_.storeData, cfg_.bufferThreshold, this, &metrics_);
+        cfg_.storeData, cfg_.bufferThreshold, &metrics_);
     space_ = std::make_unique<SegmentSpace>(*flash_, *sram_,
                                             spaceBase_, &metrics_);
     wearLeveler_ =
-        std::make_unique<WearLeveler>(cfg_.wearThreshold, this,
-                                      &metrics_);
+        std::make_unique<WearLeveler>(cfg_.wearThreshold, &metrics_);
     cleaner_ = std::make_unique<Cleaner>(*space_, *mmu_,
-                                         wearLeveler_.get(), this,
-                                         &metrics_);
+                                         wearLeveler_.get(), &metrics_);
     policy_ = makePolicy(cfg_.policy, cfg_.partitionSize);
     controller_ = std::make_unique<Controller>(
         g, *flash_, *mmu_, *buffer_, *space_, *cleaner_, *policy_,
-        cfg_.autoDrain, this, &metrics_);
+        cfg_.autoDrain, &metrics_);
 
     if (cfg_.numWorkers > 1 || cfg_.numCleaners > 0) {
         controller_->setConcurrency(cfg_.numWorkers,

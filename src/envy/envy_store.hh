@@ -98,7 +98,7 @@ struct EnvyConfig
     std::uint64_t persistCheckpointBytes = 0;
 };
 
-class EnvyStore : public StatGroup
+class EnvyStore
 {
   public:
     explicit EnvyStore(const EnvyConfig &cfg);

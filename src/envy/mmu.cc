@@ -4,11 +4,8 @@
 
 namespace envy {
 
-Mmu::Mmu(PageTable &table, std::uint32_t tlb_size, StatGroup *parent)
-    : StatGroup("mmu", parent),
-      statHits(this, "tlbHits", "translations served from the TLB"),
-      statMisses(this, "tlbMisses", "translations walking the table"),
-      table_(table),
+Mmu::Mmu(PageTable &table, std::uint32_t tlb_size)
+    : table_(table),
       mask_(tlb_size - 1),
       tlb_(tlb_size)
 {
@@ -17,15 +14,14 @@ Mmu::Mmu(PageTable &table, std::uint32_t tlb_size, StatGroup *parent)
 }
 
 PageTable::Location
-Mmu::lookup(LogicalPageId page)
+Mmu::lookup(LogicalPageId page, bool *tlb_miss)
 {
     MutexLock lock(stripeFor(page));
     TlbEntry &e = tlb_[indexOf(page)];
-    if (e.page == page) {
-        ++statHits;
+    if (e.page == page)
         return e.loc;
-    }
-    ++statMisses;
+    if (tlb_miss)
+        *tlb_miss = true;
     e.page = page;
     e.loc = table_.lookup(page);
     return e.loc;

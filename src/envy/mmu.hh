@@ -18,22 +18,28 @@
 
 #include "common/thread_annotations.hh"
 #include "envy/page_table.hh"
-#include "sim/stats.hh"
 
 namespace envy {
 
-class Mmu : public StatGroup
+class Mmu
 {
   public:
     /**
      * @param table     the backing page table
      * @param tlb_size  cached mappings (power of two, direct mapped)
      */
-    Mmu(PageTable &table, std::uint32_t tlb_size = 1024,
-        StatGroup *parent = nullptr);
+    Mmu(PageTable &table, std::uint32_t tlb_size = 1024);
 
-    /** Translate through the TLB, falling back to the page table. */
-    PageTable::Location lookup(LogicalPageId page);
+    /**
+     * Translate through the TLB, falling back to the page table.
+     * @param tlb_miss  if non-null, set to true when the translation
+     *                  missed the TLB and walked the table (timing
+     *                  models charge the extra SRAM access); left
+     *                  alone on a hit, so one flag can collect every
+     *                  translation of a host access
+     */
+    PageTable::Location lookup(LogicalPageId page,
+                               bool *tlb_miss = nullptr);
 
     /** Write-through update used by COW, flush and the cleaner. */
     void mapToFlash(LogicalPageId page, FlashPageAddr addr);
@@ -43,9 +49,6 @@ class Mmu : public StatGroup
     void flushTlb();
 
     PageTable &table() { return table_; }
-
-    Counter statHits;
-    Counter statMisses;
 
   private:
     struct TlbEntry

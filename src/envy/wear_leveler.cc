@@ -8,17 +8,16 @@
 
 namespace envy {
 
-WearLeveler::WearLeveler(std::uint64_t threshold, StatGroup *parent,
+WearLeveler::WearLeveler(std::uint64_t threshold,
                          obs::MetricsRegistry *metrics)
-    : StatGroup("wearLeveler", parent),
-      statRotations(this, "rotations", "oldest/youngest data rotations"),
-      metRotations(obs::counterOf(metrics, "wear.rotations", "rotations",
-                                  "oldest/youngest data rotations")),
-      metSpread(obs::gaugeOf(metrics, "wear.spread", "cycles",
-                             "max-min erase-cycle spread over data "
-                             "segments, sampled at each trigger check")),
-      threshold_(threshold)
+    : threshold_(threshold)
 {
+    obs::MetricsRegistry &reg = obs::registryOr(metrics, ownMetrics_);
+    metRotations = reg.counter("wear.rotations", "rotations",
+                               "oldest/youngest data rotations");
+    metSpread = reg.gauge("wear.spread", "cycles",
+                          "max-min erase-cycle spread over data "
+                          "segments, sampled at each trigger check");
 }
 
 std::uint64_t
@@ -100,7 +99,7 @@ WearLeveler::maybeRotate(SegmentSpace &space, Cleaner &cleaner)
     ENVY_CRASH_POINT("wear.rotate.after_commit");
     space.clearWearRecord();
 
-    finishRotation(space, cleaner, physOld, physYoung, fresh);
+    finishRotation(space, physOld, physYoung, fresh);
     return true;
 }
 
@@ -143,14 +142,13 @@ WearLeveler::resumeRotation(SegmentSpace &space, Cleaner &cleaner)
     }
     space.clearWearRecord();
 
-    finishRotation(space, cleaner, physOld, physYoung, fresh);
+    finishRotation(space, physOld, physYoung, fresh);
     return true;
 }
 
 void
-WearLeveler::finishRotation(SegmentSpace &space, Cleaner &cleaner,
-                            SegmentId phys_old, SegmentId phys_young,
-                            SegmentId fresh)
+WearLeveler::finishRotation(SegmentSpace &space, SegmentId phys_old,
+                            SegmentId phys_young, SegmentId fresh)
 {
     // Every participant waits out a full threshold of further wear
     // before rotating again.
@@ -159,8 +157,6 @@ WearLeveler::finishRotation(SegmentSpace &space, Cleaner &cleaner,
     lastRotation_[phys_young.value()] = fa.eraseCycles(phys_young);
     lastRotation_[fresh.value()] = fa.eraseCycles(fresh);
 
-    ++statRotations;
-    ++cleaner.statWearRotations;
     metRotations.add();
     ENVY_TRACE("wear.rotate", obs::tv("phys_old", phys_old.value()),
                obs::tv("phys_young", phys_young.value()),

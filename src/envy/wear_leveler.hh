@@ -20,19 +20,19 @@
 #define ENVY_ENVY_WEAR_LEVELER_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/thread_annotations.hh"
 #include "common/types.hh"
 #include "obs/metrics.hh"
-#include "sim/stats.hh"
 
 namespace envy {
 
 class Cleaner;
 class SegmentSpace;
 
-class WearLeveler : public StatGroup
+class WearLeveler
 {
   public:
     /**
@@ -40,7 +40,6 @@ class WearLeveler : public StatGroup
      *                   exceeds this (paper: 100)
      */
     explicit WearLeveler(std::uint64_t threshold = 100,
-                         StatGroup *parent = nullptr,
                          obs::MetricsRegistry *metrics = nullptr);
 
     std::uint64_t threshold() const { return threshold_; }
@@ -67,17 +66,16 @@ class WearLeveler : public StatGroup
     /** Current max-min spread of erase cycles over data segments. */
     std::uint64_t spread(const SegmentSpace &space) const;
 
-    Counter statRotations;
-
-    // Observability metrics (docs/OBSERVABILITY.md).
+    // Event counts (docs/OBSERVABILITY.md); a private registry holds
+    // them when the leveler is built without one.
     obs::Counter metRotations;
     obs::Gauge metSpread; //!< erase-cycle spread at each trigger check
 
   private:
     /** Shared epilogue of a fresh and a resumed rotation. */
-    void finishRotation(SegmentSpace &space, Cleaner &cleaner,
-                        SegmentId phys_old, SegmentId phys_young,
-                        SegmentId fresh) ENVY_REQUIRES(mu_);
+    void finishRotation(SegmentSpace &space, SegmentId phys_old,
+                        SegmentId phys_young, SegmentId fresh)
+        ENVY_REQUIRES(mu_);
 
     std::uint64_t threshold_;
 
@@ -97,6 +95,8 @@ class WearLeveler : public StatGroup
      * aging a further threshold's worth of erases.
      */
     std::vector<std::uint64_t> lastRotation_ ENVY_GUARDED_BY(mu_);
+
+    std::unique_ptr<obs::MetricsRegistry> ownMetrics_;
 };
 
 } // namespace envy

@@ -44,18 +44,17 @@ runPolicySim(const PolicySimParams &params)
     const std::uint64_t logical_pages =
         geom.effectiveLogicalPages().value();
 
-    StatGroup root("policySim");
     obs::MetricsRegistry metrics;
-    FlashArray flash(geom, FlashTiming{}, false, &root, &metrics);
+    FlashArray flash(geom, FlashTiming{}, false, &metrics);
     const std::uint64_t table_bytes =
         PageTable::bytesNeeded(geom.physicalPages().value());
     SramArray sram(table_bytes +
                    SegmentSpace::bytesNeeded(geom.numSegments()).value());
     PageTable table(sram, 0, geom.physicalPages().value());
-    Mmu mmu(table, 1024, &root);
+    Mmu mmu(table, 1024);
     SegmentSpace space(flash, sram, table_bytes, &metrics);
-    WearLeveler wear(params.wearThreshold, &root, &metrics);
-    Cleaner cleaner(space, mmu, &wear, &root, &metrics);
+    WearLeveler wear(params.wearThreshold, &metrics);
+    Cleaner cleaner(space, mmu, &wear, &metrics);
 
     // Measured-window figures, published so bench JSON can embed a
     // snapshot that provably matches the printed table cells.
@@ -144,9 +143,9 @@ runPolicySim(const PolicySimParams &params)
     result.warmupMetrics = metrics.snapshot();
 
     // Measurement window.
-    const std::uint64_t programs0 = cleaner.statCleanerPrograms.value();
+    const std::uint64_t programs0 = cleaner.metPagesCopied.value();
     const std::uint64_t flushes0 = space.flushClock();
-    const std::uint64_t cleans0 = cleaner.statCleans.value();
+    const std::uint64_t cleans0 = cleaner.metSegmentsCleaned.value();
     for (std::uint32_t c = 0; c < measure; ++c) {
         hot_offset = (hot_offset + params.shiftPerChunk) %
                      logical_pages;
@@ -155,9 +154,9 @@ runPolicySim(const PolicySimParams &params)
     }
 
     const std::uint64_t programs =
-        cleaner.statCleanerPrograms.value() - programs0;
+        cleaner.metPagesCopied.value() - programs0;
     result.writes = space.flushClock() - flushes0;
-    result.cleans = cleaner.statCleans.value() - cleans0;
+    result.cleans = cleaner.metSegmentsCleaned.value() - cleans0;
     result.cleaningCost =
         result.writes
             ? static_cast<double>(programs) /
@@ -169,7 +168,7 @@ runPolicySim(const PolicySimParams &params)
                              asDouble(geom.pagesPerSegment()))
                       : 0.0;
     result.wearSpread = wear.spread(space);
-    result.wearRotations = wear.statRotations.value();
+    result.wearRotations = wear.metRotations.value();
 
     simCost.set(result.cleaningCost);
     simWrites.set(static_cast<double>(result.writes));

@@ -13,14 +13,7 @@ replayTrace(EnvyStore &store, const Trace &trace)
     const std::uint64_t size = store.size();
     ENVY_ASSERT(size > 0, "empty store");
 
-    const std::uint64_t cows0 = ctl.statCows.value();
-    const std::uint64_t hits0 = ctl.statBufferHits.value();
-    const std::uint64_t flushes0 =
-        store.writeBuffer().statFlushes.value();
-    const std::uint64_t cleans0 =
-        store.cleanerRef().statCleans.value();
-    const std::uint64_t programs0 =
-        store.cleanerRef().statCleanerPrograms.value();
+    const obs::MetricsSnapshot before = store.metrics().snapshot();
 
     ReplayResult r;
     std::uint8_t buf[256];
@@ -40,12 +33,13 @@ replayTrace(EnvyStore &store, const Trace &trace)
         }
     }
 
-    r.cows = ctl.statCows.value() - cows0;
-    r.bufferHits = ctl.statBufferHits.value() - hits0;
-    r.flushes = store.writeBuffer().statFlushes.value() - flushes0;
-    r.cleans = store.cleanerRef().statCleans.value() - cleans0;
+    const obs::MetricsSnapshot after = store.metrics().snapshot();
+    r.cows = after.counterDelta(before, "ctl.cows");
+    r.bufferHits = after.counterDelta(before, "ctl.buffer_hits");
+    r.flushes = after.counterDelta(before, "buf.flushes");
+    r.cleans = after.counterDelta(before, "cleaner.segments_cleaned");
     const std::uint64_t programs =
-        store.cleanerRef().statCleanerPrograms.value() - programs0;
+        after.counterDelta(before, "cleaner.pages_copied");
     r.cleaningCost =
         r.flushes ? static_cast<double>(programs) /
                         static_cast<double>(r.flushes)

@@ -1,11 +1,12 @@
 #include "envysim/timed_system.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/units.hh"
-#include "sim/stats.hh"
 
 namespace envy {
 
@@ -30,10 +31,50 @@ struct WorkCounters
     static WorkCounters
     of(EnvyStore &store)
     {
-        return {store.writeBuffer().statFlushes.value(),
-                store.cleanerRef().statCleanerPrograms.value(),
-                store.flash().statSegmentErases.value()};
+        // Erase attempts: a retried erase costs a whole erase again.
+        const FlashArray &flash = store.flash();
+        return {store.writeBuffer().metFlushes.value(),
+                store.cleanerRef().metPagesCopied.value(),
+                flash.metErases.value() + flash.metEraseRetries.value()};
     }
+};
+
+/**
+ * Power-of-two latency histogram: bucket k holds [2^(k-1), 2^k),
+ * bucket 0 holds {0}, and a percentile reports its bucket's
+ * exclusive upper bound 2^k (Fig 15's write p99 column).
+ */
+class Pow2Histogram
+{
+  public:
+    void
+    sample(std::uint64_t v)
+    {
+        const int k = static_cast<int>(std::bit_width(v));
+        ++buckets_[std::min(k, numBuckets - 1)];
+        ++count_;
+    }
+
+    /** Upper bound of the bucket holding the @p p-th percentile. */
+    std::uint64_t
+    percentile(double p) const
+    {
+        if (count_ == 0)
+            return 0;
+        const double target = static_cast<double>(count_) * p / 100.0;
+        double seen = 0.0;
+        for (int k = 0; k < numBuckets; ++k) {
+            seen += static_cast<double>(buckets_[k]);
+            if (seen >= target)
+                return k == 0 ? 0 : 1ull << k;
+        }
+        return 1ull << (numBuckets - 1);
+    }
+
+  private:
+    static constexpr int numBuckets = 64;
+    std::array<std::uint64_t, numBuckets> buckets_{};
+    std::uint64_t count_ = 0;
 };
 
 } // namespace
@@ -87,9 +128,7 @@ runTimedSim(const TimedParams &params)
 
     double read_lat_sum = 0.0, write_lat_sum = 0.0;
     std::uint64_t read_count = 0, write_count = 0;
-    StatGroup tstats("timed");
-    Histogram write_hist(&tstats, "writeLat",
-                         "write latency histogram");
+    Pow2Histogram write_hist;
     Tick host_busy = 0, flush_busy = 0, clean_busy = 0, erase_busy = 0;
     std::uint64_t completed = 0, stalls = 0;
     WorkCounters win0{};
@@ -169,14 +208,11 @@ runTimedSim(const TimedParams &params)
             }
             if (a.isWrite) {
                 const WorkCounters before = WorkCounters::of(store);
-                const std::uint64_t misses0 =
-                    store.controller().mmu().statMisses.value();
                 std::uint8_t word[8] = {};
                 const Controller::AccessOutcome out = ctl.write(
                     a.addr, std::span<const std::uint8_t>(
                                 word, a.bytes));
-                if (store.controller().mmu().statMisses.value() !=
-                    misses0)
+                if (out.tlbMiss)
                     lat += params.tlbMissPenalty;
                 if (out.cow)
                     lat += params.cowTransferTime;
@@ -265,7 +301,7 @@ runTimedSim(const TimedParams &params)
                                       win0.cleanPrograms) /
                       static_cast<double>(flushes)
                 : 0.0;
-    r.cleans = store.cleanerRef().statCleans.value();
+    r.cleans = store.cleanerRef().metSegmentsCleaned.value();
     r.foregroundStalls = stalls;
     r.warmupMetrics = std::move(warmup_snap);
     r.finalMetrics = store.metrics().snapshot();

@@ -23,42 +23,10 @@ envSlowDataplane()
 } // namespace
 
 FlashArray::FlashArray(const Geometry &geom, const FlashTiming &timing,
-                       bool store_data, StatGroup *parent,
-                       obs::MetricsRegistry *metrics,
+                       bool store_data, obs::MetricsRegistry *metrics,
                        bool slow_dataplane,
                        persist::FlashPersist *persist)
-    : StatGroup("flash", parent),
-      statPagesProgrammed(this, "pagesProgrammed",
-                          "pages programmed into the array"),
-      statPagesInvalidated(this, "pagesInvalidated",
-                           "pages marked dead by copy-on-write/clean"),
-      statSegmentErases(this, "segmentErases",
-                        "whole-segment erase operations"),
-      statPageReads(this, "pageReads", "page reads via the wide path"),
-      statSlotsRetired(this, "slotsRetired",
-                       "slots retired after a program spec-failure"),
-      statProgramSpecFailures(this, "programSpecFailures",
-                              "program operations that spec-failed"),
-      statEraseRetries(this, "eraseRetries",
-                       "erase operations retried (transient failure)"),
-      statEraseSpecFailures(this, "eraseSpecFailures",
-                            "erase operations that overran their "
-                            "rated window"),
-      metPrograms(obs::counterOf(metrics, "flash.programs", "pages",
-                                 "pages programmed into the array")),
-      metInvalidations(obs::counterOf(metrics, "flash.invalidations",
-                                      "pages",
-                                      "pages marked dead by "
-                                      "copy-on-write/clean")),
-      metErases(obs::counterOf(metrics, "flash.erases", "segments",
-                               "whole-segment erase operations")),
-      metPageReads(obs::counterOf(metrics, "flash.page_reads", "pages",
-                                  "page reads via the wide path")),
-      metSlotsRetired(obs::counterOf(metrics, "flash.slots_retired",
-                                     "slots",
-                                     "slots retired after a program "
-                                     "spec-failure")),
-      geom_(geom),
+    : geom_(geom),
       timing_(timing),
       storeData_(store_data),
       slowDataplane_(slow_dataplane || envSlowDataplane()),
@@ -66,6 +34,27 @@ FlashArray::FlashArray(const Geometry &geom, const FlashTiming &timing,
 {
     if (const char *problem = geom_.validate())
         ENVY_FATAL("flash: bad geometry: ", problem);
+
+    obs::MetricsRegistry &reg = obs::registryOr(metrics, ownMetrics_);
+    metPrograms = reg.counter("flash.programs", "pages",
+                              "pages programmed into the array");
+    metInvalidations = reg.counter("flash.invalidations", "pages",
+                                   "pages marked dead by "
+                                   "copy-on-write/clean");
+    metErases = reg.counter("flash.erases", "segments",
+                            "whole-segment erase operations");
+    metPageReads = reg.counter("flash.page_reads", "pages",
+                               "page reads via the wide path");
+    metSlotsRetired = reg.counter("flash.slots_retired", "slots",
+                                  "slots retired after a program "
+                                  "spec-failure");
+    metEraseRetries = reg.counter("flash.erase_retries", "erases",
+                                  "erase attempts repeated after a "
+                                  "transient failure");
+    metEraseSpecFailures = reg.counter("flash.erase_spec_failures",
+                                       "erases",
+                                       "erases that overran their "
+                                       "rated window");
 
     banks_.reserve(geom_.numBanks);
     for (std::uint32_t b = 0; b < geom_.numBanks; ++b)
@@ -161,8 +150,6 @@ FlashArray::tryAppendRaw(SegmentId seg, std::uint32_t owner,
         if (persist_)
             persist_->meta.setSpecFailed(seg);
         retireCurrentSlot(seg, s);
-        ++statSlotsRetired;
-        ++statProgramSpecFailures;
         metSlotsRetired.add();
         if (segmentChangedHook)
             segmentChangedHook(seg);
@@ -180,7 +167,6 @@ FlashArray::tryAppendRaw(SegmentId seg, std::uint32_t owner,
         persist_->meta.setOwner(seg, slot, owner);
         persist_->meta.setWritePtr(seg, s.writePtr);
     }
-    ++statPagesProgrammed;
     metPrograms.add();
     if (segmentChangedHook)
         segmentChangedHook(seg);
@@ -242,7 +228,6 @@ FlashArray::invalidatePage(FlashPageAddr addr)
     totalLive_ -= PageCount(1);
     if (persist_)
         persist_->meta.setOwner(addr.segment, addr.slot, ownerDead);
-    ++statPagesInvalidated;
     metInvalidations.add();
     if (segmentChangedHook)
         segmentChangedHook(addr.segment);
@@ -254,7 +239,6 @@ FlashArray::readPage(FlashPageAddr addr, std::span<std::uint8_t> out)
     const SegmentState &s = state(addr.segment);
     ENVY_ASSERT(addr.slot.value() < s.writePtr,
                 "flash: read of unwritten slot");
-    ++statPageReads;
     metPageReads.add();
     if (!storeData_)
         return;
@@ -370,11 +354,10 @@ FlashArray::eraseSegment(SegmentId seg)
         const bool transient = eraseFaultHook && eraseFaultHook(seg);
         busy += owning_bank.eraseSegment(block);
         ++s.eraseCycles;
-        ++statSegmentErases;
         if (!transient)
             break;
         // Transient bad block: the erase did not verify; retry.
-        ++statEraseRetries;
+        metEraseRetries.add();
         ENVY_ASSERT(attempt < 8, "flash: segment ", seg,
                     " repeatedly failed to erase");
     }
@@ -382,7 +365,7 @@ FlashArray::eraseSegment(SegmentId seg)
         // Wear overrun (§2): the block is erased, just slower than
         // spec allows.  Record the failure and carry on; the block
         // stays usable and the chips remember it spec-failed.
-        ++statEraseSpecFailures;
+        metEraseSpecFailures.add();
         owning_bank.clearStatus();
         if (persist_)
             persist_->meta.setSpecFailed(seg);

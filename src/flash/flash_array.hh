@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "common/types.hh"
 #include "flash/flash_bank.hh"
 #include "obs/metrics.hh"
-#include "sim/stats.hh"
 
 namespace envy {
 
@@ -35,10 +35,12 @@ namespace persist {
 struct FlashPersist;
 } // namespace persist
 
-class FlashArray : public StatGroup
+class FlashArray
 {
   public:
     /**
+     * @param metrics         registry for the flash.* counters; a
+     *                        private one when null
      * @param slow_dataplane  route all page operations through the
      *                        byte-at-a-time CUI oracle instead of the
      *                        bulk fast path.  Also forced on by the
@@ -50,8 +52,7 @@ class FlashArray : public StatGroup
      *                        lives in its mapped data region
      */
     FlashArray(const Geometry &geom, const FlashTiming &timing,
-               bool store_data, StatGroup *parent = nullptr,
-               obs::MetricsRegistry *metrics = nullptr,
+               bool store_data, obs::MetricsRegistry *metrics = nullptr,
                bool slow_dataplane = false,
                persist::FlashPersist *persist = nullptr);
 
@@ -243,23 +244,16 @@ class FlashArray : public StatGroup
     /** Total live pages across the array. */
     PageCount totalLive() const { return totalLive_; }
 
-    // Statistics (public so experiment harnesses can read them).
-    Counter statPagesProgrammed;
-    Counter statPagesInvalidated;
-    Counter statSegmentErases;
-    Counter statPageReads;
-    Counter statSlotsRetired;
-    Counter statProgramSpecFailures;
-    Counter statEraseRetries;
-    Counter statEraseSpecFailures;
-
-    // Observability metrics (docs/OBSERVABILITY.md); null-safe
-    // no-ops when constructed without a registry.
+    // Event counts (docs/OBSERVABILITY.md), public so experiment
+    // harnesses can read them.
     obs::Counter metPrograms;
     obs::Counter metInvalidations;
-    obs::Counter metErases;
+    obs::Counter metErases;       //!< eraseSegment() calls
     obs::Counter metPageReads;
+    /** One per program spec-failure: each retires its slot. */
     obs::Counter metSlotsRetired;
+    obs::Counter metEraseRetries; //!< extra attempts after a bad erase
+    obs::Counter metEraseSpecFailures;
 
   private:
     struct SegmentState
@@ -295,6 +289,7 @@ class FlashArray : public StatGroup
     std::vector<SegmentState> segments_;
     PageCount totalLive_;
     persist::FlashPersist *persist_ = nullptr;
+    std::unique_ptr<obs::MetricsRegistry> ownMetrics_;
 };
 
 } // namespace envy

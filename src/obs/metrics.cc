@@ -283,5 +283,15 @@ histogramOf(MetricsRegistry *reg, const std::string &name,
                : Histogram();
 }
 
+MetricsRegistry &
+registryOr(MetricsRegistry *reg, std::unique_ptr<MetricsRegistry> &own)
+{
+    if (reg)
+        return *reg;
+    if (!own)
+        own = std::make_unique<MetricsRegistry>();
+    return *own;
+}
+
 } // namespace obs
 } // namespace envy

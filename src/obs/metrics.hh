@@ -28,6 +28,8 @@
  * every run), and asking with a different kind or unit is fatal.
  * Handles are null-safe: a component built without a registry (unit
  * tests, bare harnesses) gets no-op handles and pays one branch.
+ * Components whose counts something reads back register through
+ * registryOr() instead and count into a private registry.
  *
  * snapshot() returns a deep copy — MetricsSnapshot — that later
  * mutations do not touch.  Snapshots serialise to the JSON `metrics`
@@ -43,6 +45,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -302,6 +305,16 @@ Gauge gaugeOf(MetricsRegistry *reg, const std::string &name,
 Histogram histogramOf(MetricsRegistry *reg, const std::string &name,
                       const std::string &unit, const std::string &desc,
                       std::vector<std::uint64_t> edges);
+
+/**
+ * @p reg, or a private registry created in @p own when @p reg is
+ * null.  Components whose counts drive behaviour or a figure (the
+ * cleaner's cost, wear rotations, flash and buffer traffic) register
+ * through this, so a component built bare still counts instead of
+ * silently reading 0.
+ */
+MetricsRegistry &registryOr(MetricsRegistry *reg,
+                            std::unique_ptr<MetricsRegistry> &own);
 
 } // namespace obs
 } // namespace envy

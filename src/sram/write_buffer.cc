@@ -7,17 +7,8 @@ namespace envy {
 WriteBuffer::WriteBuffer(SramArray &sram, Addr base,
                          std::uint32_t capacity, std::uint32_t page_size,
                          bool store_data, std::uint32_t threshold,
-                         StatGroup *parent, obs::MetricsRegistry *metrics)
-    : StatGroup("writeBuffer", parent),
-      statInserts(this, "inserts", "pages inserted by copy-on-write"),
-      statFlushes(this, "flushes", "pages flushed to flash"),
-      metInserts(obs::counterOf(metrics, "buf.inserts", "pages",
-                                "pages inserted by copy-on-write")),
-      metFlushes(obs::counterOf(metrics, "buf.flushes", "pages",
-                                "pages released after flush")),
-      metOccupancy(obs::gaugeOf(metrics, "buf.occupancy", "pages",
-                                "resident pages; high = high-water")),
-      sram_(sram),
+                         obs::MetricsRegistry *metrics)
+    : sram_(sram),
       base_(base),
       capacity_(capacity),
       pageSize_(page_size),
@@ -31,6 +22,13 @@ WriteBuffer::WriteBuffer(SramArray &sram, Addr base,
     ENVY_ASSERT(base_ + bytesNeeded(capacity, page_size, store_data) <=
                     sram.size(),
                 "buffer: write buffer does not fit in SRAM");
+    obs::MetricsRegistry &reg = obs::registryOr(metrics, ownMetrics_);
+    metInserts = reg.counter("buf.inserts", "pages",
+                             "pages inserted by copy-on-write");
+    metFlushes = reg.counter("buf.flushes", "pages",
+                             "pages released after flush");
+    metOccupancy = reg.gauge("buf.occupancy", "pages",
+                             "resident pages; high = high-water");
     MutexLock lock(mu_);
     // Fresh buffer: mark every slot unowned.
     for (std::uint32_t s = 0; s < capacity_; ++s) {
@@ -130,7 +128,6 @@ WriteBuffer::push(LogicalPageId logical, std::uint64_t origin)
     head_ = (head_ + 1) % capacity_;
     ++count_;
     syncHeader();
-    ++statInserts;
     metInserts.add();
     metOccupancy.set(count_);
     return BufferSlotId(slot);
@@ -161,7 +158,6 @@ WriteBuffer::popTail()
     owners_[slot] = noOwner;
     --count_;
     syncHeader();
-    ++statFlushes;
     metFlushes.add();
     metOccupancy.set(count_);
 }

@@ -23,18 +23,18 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/thread_annotations.hh"
 #include "common/types.hh"
 #include "obs/metrics.hh"
-#include "sim/stats.hh"
 #include "sram/sram_array.hh"
 
 namespace envy {
 
-class WriteBuffer : public StatGroup
+class WriteBuffer
 {
   public:
     /**
@@ -48,7 +48,7 @@ class WriteBuffer : public StatGroup
      */
     WriteBuffer(SramArray &sram, Addr base, std::uint32_t capacity,
                 std::uint32_t page_size, bool store_data,
-                std::uint32_t threshold = 0, StatGroup *parent = nullptr,
+                std::uint32_t threshold = 0,
                 obs::MetricsRegistry *metrics = nullptr);
 
     /** Bytes of SRAM the buffer occupies (header + slots). */
@@ -145,10 +145,8 @@ class WriteBuffer : public StatGroup
     /** Empty the buffer (recovery rebuilds it entry by entry). */
     void reset();
 
-    Counter statInserts;
-    Counter statFlushes;
-
-    // Observability metrics (docs/OBSERVABILITY.md).
+    // Event counts (docs/OBSERVABILITY.md); a private registry holds
+    // them when the buffer is built without one.
     obs::Counter metInserts;
     obs::Counter metFlushes;
     obs::Gauge metOccupancy; //!< occupancy level; high() = high-water
@@ -224,6 +222,8 @@ class WriteBuffer : public StatGroup
     // Data stripe locks (see slotStripe()).
     static constexpr std::uint32_t numStripes = 64;
     std::array<Mutex, numStripes> stripeMu_;
+
+    std::unique_ptr<obs::MetricsRegistry> ownMetrics_;
 };
 
 } // namespace envy

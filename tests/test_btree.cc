@@ -122,7 +122,7 @@ TEST(BTree, DifferentialFuzzAgainstStdMap)
     EXPECT_EQ(tree.size(), ref.size());
     EXPECT_TRUE(tree.validate());
     // Cleaning happened under the tree's feet.
-    EXPECT_GT(store.cleanerRef().statCleans.value(), 0u);
+    EXPECT_GT(store.cleanerRef().metSegmentsCleaned.value(), 0u);
 
     // Full content comparison via scan.
     auto it = ref.begin();

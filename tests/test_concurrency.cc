@@ -81,9 +81,9 @@ expectConservation(EnvyStore &store, bool across_recovery = false)
                       store.writeBuffer().size());
     }
     EXPECT_EQ(snap.counter("ctl.host_writes"),
-              store.controller().statHostWrites.value());
+              store.controller().metHostWrites.value());
     EXPECT_EQ(snap.counter("ctl.cows"),
-              store.controller().statCows.value());
+              store.controller().metCows.value());
 }
 
 struct LoggedOp

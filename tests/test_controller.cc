@@ -40,19 +40,18 @@ TEST(Controller, FirstWriteIsCowSecondIsBufferHit)
     EXPECT_FALSE(out2.cow);
     EXPECT_TRUE(out2.hitSram);
 
-    EXPECT_EQ(ctl.statCows.value(), 1u);
-    EXPECT_EQ(ctl.statBufferHits.value(), 1u);
+    EXPECT_EQ(ctl.metCows.value(), 1u);
+    EXPECT_EQ(ctl.metBufferHits.value(), 1u);
 }
 
 TEST(Controller, CowInvalidatesOldFlashCopy)
 {
     EnvyStore store(smallConfig());
     Controller &ctl = store.controller();
-    const auto before =
-        store.flash().statPagesInvalidated.value();
+    const auto before = store.flash().metInvalidations.value();
     const std::uint8_t v[1] = {9};
     ctl.write(0, v);
-    EXPECT_EQ(store.flash().statPagesInvalidated.value(), before + 1);
+    EXPECT_EQ(store.flash().metInvalidations.value(), before + 1);
 }
 
 TEST(Controller, ReadsSeeWritesAcrossFlushes)
@@ -121,7 +120,7 @@ TEST(Controller, FullBufferForcesForegroundFlush)
         std::uint8_t v = static_cast<std::uint8_t>(p);
         ctl.write(p * ps, {&v, 1});
     }
-    EXPECT_GT(ctl.statForegroundFlushes.value(), 0u);
+    EXPECT_GT(ctl.metForegroundFlushes.value(), 0u);
     EXPECT_TRUE(store.writeBuffer().full());
     for (std::uint64_t p = 0; p < cap + 5; ++p)
         EXPECT_EQ(store.readU8(p * ps), static_cast<std::uint8_t>(p));
@@ -169,8 +168,55 @@ TEST(Controller, StatsCountHostAccesses)
     Controller &ctl = store.controller();
     store.readU32(0);
     store.writeU32(0, 1);
-    EXPECT_EQ(ctl.statHostReads.value(), 1u);
-    EXPECT_EQ(ctl.statHostWrites.value(), 1u);
+    EXPECT_EQ(ctl.metHostReads.value(), 1u);
+    EXPECT_EQ(ctl.metHostWrites.value(), 1u);
+}
+
+TEST(Controller, FlushTicksSeparatePlainFlushesFromCleaningOnes)
+{
+    EnvyConfig cfg = smallConfig();
+    cfg.autoDrain = false;
+    EnvyStore store(cfg);
+    Controller &ctl = store.controller();
+    const std::uint32_t ps = cfg.geom.pageSize;
+    auto flushTicks = [&] {
+        const obs::MetricsSnapshot snap = store.metrics().snapshot();
+        const obs::MetricsSnapshot::Entry *e =
+            snap.find("ctl.flush_ticks");
+        EXPECT_NE(e, nullptr);
+        return e ? e->counts : std::vector<std::uint64_t>{};
+    };
+
+    // Flush-only: a plain flush costs one page program, which must
+    // land above the lowest edge, not in the underflow bucket.
+    for (std::uint64_t p = 0; p < 8; ++p) {
+        std::uint8_t v = 1;
+        ctl.write(p * ps, {&v, 1});
+    }
+    ctl.flushAll();
+    ASSERT_EQ(ctl.cleaner().metSegmentsCleaned.value(), 0u);
+    std::vector<std::uint64_t> counts = flushTicks();
+    ASSERT_FALSE(counts.empty());
+    EXPECT_EQ(counts[0], 0u) << "plain flushes fell into underflow";
+    EXPECT_EQ(counts[1], 8u);
+
+    // Churn until flushes start paying for inline cleans: those cost
+    // at least a segment erase and land far above the plain bucket.
+    const std::uint64_t pages = store.size() / ps;
+    for (std::uint64_t i = 0;
+         ctl.cleaner().metSegmentsCleaned.value() == 0 && i < 1000000;
+         ++i) {
+        std::uint8_t v = 2;
+        ctl.write((i * 7 % pages) * ps, {&v, 1});
+    }
+    ASSERT_GT(ctl.cleaner().metSegmentsCleaned.value(), 0u);
+    counts = flushTicks();
+    EXPECT_EQ(counts[0], 0u);
+    EXPECT_GT(counts[1], 8u);
+    std::uint64_t cleaning = 0;
+    for (std::size_t b = 6; b < counts.size(); ++b)
+        cleaning += counts[b]; // above 30 ms
+    EXPECT_GT(cleaning, 0u);
 }
 
 TEST(Controller, ProbeReadReportsTlbMiss)

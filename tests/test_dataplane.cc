@@ -332,8 +332,9 @@ TEST(Dataplane, ArrayFaultInjectionParity)
     g.numBanks = 2;
     ASSERT_EQ(g.validate(), nullptr);
     const FlashTiming ft;
-    FlashArray fast(g, ft, true, nullptr, nullptr, false);
-    FlashArray slow(g, ft, true, nullptr, nullptr, true);
+    obs::MetricsRegistry fast_metrics, slow_metrics;
+    FlashArray fast(g, ft, true, &fast_metrics, false);
+    FlashArray slow(g, ft, true, &slow_metrics, true);
     ASSERT_FALSE(fast.slowDataplane());
     ASSERT_TRUE(slow.slowDataplane());
 
@@ -386,13 +387,15 @@ TEST(Dataplane, ArrayFaultInjectionParity)
     }
 
     EXPECT_EQ(fast_attempts, slow_attempts);
-    EXPECT_EQ(fast.statPagesProgrammed.value(),
-              slow.statPagesProgrammed.value());
-    EXPECT_EQ(fast.statSlotsRetired.value(),
-              slow.statSlotsRetired.value());
-    EXPECT_EQ(fast.statProgramSpecFailures.value(),
-              slow.statProgramSpecFailures.value());
-    EXPECT_GT(fast.statSlotsRetired.value(), 0u);
+    const obs::MetricsSnapshot fast_snap = fast_metrics.snapshot();
+    const obs::MetricsSnapshot slow_snap = slow_metrics.snapshot();
+    // flash.slots_retired counts the program spec-failures.
+    for (const char *name : {"flash.programs", "flash.invalidations",
+                             "flash.erases", "flash.slots_retired",
+                             "flash.erase_spec_failures"})
+        EXPECT_EQ(fast_snap.counter(name), slow_snap.counter(name))
+            << name;
+    EXPECT_GT(fast_snap.counter("flash.slots_retired"), 0u);
     for (std::uint32_t s = 0; s < g.numSegments(); ++s) {
         const SegmentId seg{s};
         EXPECT_EQ(fast.eraseCycles(seg), slow.eraseCycles(seg));
@@ -446,12 +449,12 @@ TEST(Dataplane, StoreChurnMatchesOracleEndToEnd)
         ASSERT_EQ(a, b) << "offset " << off;
     }
     // ...and the same physical history.
-    EXPECT_EQ(fast.flash().statPagesProgrammed.value(),
-              slow.flash().statPagesProgrammed.value());
-    EXPECT_EQ(fast.flash().statSegmentErases.value(),
-              slow.flash().statSegmentErases.value());
-    EXPECT_EQ(fast.flash().statPagesInvalidated.value(),
-              slow.flash().statPagesInvalidated.value());
+    const obs::MetricsSnapshot fast_snap = fast.metrics().snapshot();
+    const obs::MetricsSnapshot slow_snap = slow.metrics().snapshot();
+    for (const char *name :
+         {"flash.programs", "flash.erases", "flash.invalidations"})
+        EXPECT_EQ(fast_snap.counter(name), slow_snap.counter(name))
+            << name;
     EXPECT_EQ(fast.cleaningCost(), slow.cleaningCost());
     for (std::uint32_t s = 0; s < fast.flash().numSegments(); ++s) {
         const SegmentId seg{s};

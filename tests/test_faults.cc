@@ -46,7 +46,8 @@ tinyGeom()
 
 TEST(Faults, ProgramSpecFailureRetiresTheSlotAndRetries)
 {
-    FlashArray flash(tinyGeom(), FlashTiming{}, true);
+    obs::MetricsRegistry metrics;
+    FlashArray flash(tinyGeom(), FlashTiming{}, true, &metrics);
     const SegmentId seg{0};
     std::vector<std::uint8_t> data(flash.geom().pageSize, 0xAB);
 
@@ -60,8 +61,8 @@ TEST(Faults, ProgramSpecFailureRetiresTheSlotAndRetries)
     EXPECT_TRUE(r1.failed);
     EXPECT_TRUE(flash.slotRetired(FlashPageAddr{seg, SlotId(0)}));
     EXPECT_EQ(flash.retiredCount(seg), PageCount(1));
-    EXPECT_EQ(flash.statSlotsRetired.value(), 1u);
-    EXPECT_EQ(flash.statProgramSpecFailures.value(), 1u);
+    // One program spec-failure, counted once: as its retired slot.
+    EXPECT_EQ(metrics.snapshot().counter("flash.slots_retired"), 1u);
 
     // The retry lands in the next slot and the data is intact.
     const auto r2 = flash.tryAppendPage(seg, LogicalPageId(7), data);
@@ -106,7 +107,8 @@ TEST(Faults, RetirementSurvivesEraseAndIsSkippedAfterwards)
 
 TEST(Faults, SpecFailuresAreVisibleInTheStatusRegisters)
 {
-    FlashArray flash(tinyGeom(), FlashTiming{}, false);
+    obs::MetricsRegistry metrics;
+    FlashArray flash(tinyGeom(), FlashTiming{}, false, &metrics);
     const SegmentId seg{5};
     EXPECT_FALSE(flash.segmentSpecFailed(seg));
     EXPECT_TRUE(flash.specFailedSegments().empty());
@@ -121,11 +123,27 @@ TEST(Faults, SpecFailuresAreVisibleInTheStatusRegisters)
     const auto failed = flash.specFailedSegments();
     ASSERT_EQ(failed.size(), 1u);
     EXPECT_EQ(failed[0], seg);
+    EXPECT_EQ(metrics.snapshot().counter("flash.slots_retired"), 1u);
+    EXPECT_EQ(metrics.snapshot().counter("flash.erase_spec_failures"),
+              0u);
+
+    // An erase that overruns its rated window spec-fails too: the
+    // block stays usable, the status latch and the counter record it.
+    FlashTiming slow_erase;
+    slow_erase.maxEraseTime = slow_erase.eraseTime - 1;
+    obs::MetricsRegistry worn_metrics;
+    FlashArray worn(tinyGeom(), slow_erase, false, &worn_metrics);
+    worn.eraseSegment(seg);
+    EXPECT_TRUE(worn.segmentSpecFailed(seg));
+    const obs::MetricsSnapshot worn_snap = worn_metrics.snapshot();
+    EXPECT_EQ(worn_snap.counter("flash.erase_spec_failures"), 1u);
+    EXPECT_EQ(worn_snap.counter("flash.erases"), 1u);
 }
 
 TEST(Faults, TransientEraseFailureRetriesAndIsCounted)
 {
-    FlashArray flash(tinyGeom(), FlashTiming{}, false);
+    obs::MetricsRegistry metrics;
+    FlashArray flash(tinyGeom(), FlashTiming{}, false, &metrics);
     const SegmentId seg{2};
     const auto a = flash.appendPage(seg, LogicalPageId(9));
     flash.invalidatePage(a);
@@ -135,7 +153,10 @@ TEST(Faults, TransientEraseFailureRetriesAndIsCounted)
     flash.eraseSegment(seg);
     flash.eraseFaultHook = nullptr;
 
-    EXPECT_EQ(flash.statEraseRetries.value(), 2u);
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+    EXPECT_EQ(snap.counter("flash.erase_retries"), 2u);
+    EXPECT_EQ(snap.counter("flash.erases"), 1u);
+    EXPECT_EQ(snap.counter("flash.erase_spec_failures"), 0u);
     // Each attempt burns a real erase cycle.
     EXPECT_EQ(flash.eraseCycles(seg), 3u);
     EXPECT_EQ(flash.freeSlots(seg), flash.pagesPerSegment());
@@ -161,8 +182,9 @@ TEST(Faults, FlushRetriesPastSpecFailureWithoutLosingData)
     inj.disarm();
 
     EXPECT_EQ(inj.programFailuresInjected(), 2u);
-    EXPECT_EQ(store.controller().statFlushRetries.value(), 2u);
-    EXPECT_EQ(store.flash().statSlotsRetired.value(), 2u);
+    const obs::MetricsSnapshot snap = store.metrics().snapshot();
+    EXPECT_EQ(snap.counter("ctl.flush_retries"), 2u);
+    EXPECT_EQ(snap.counter("flash.slots_retired"), 2u);
     for (std::uint64_t p = 0; p < 64; ++p)
         EXPECT_EQ(store.readU64(p * page), 0xFEED0000ull + p);
 

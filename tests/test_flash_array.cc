@@ -142,9 +142,9 @@ TEST_F(FlashArrayTest, StatsCount)
         array.appendPage(seg, LogicalPageId(1), pattern(0));
     array.invalidatePage(a);
     array.eraseSegment(seg);
-    EXPECT_EQ(array.statPagesProgrammed.value(), 1u);
-    EXPECT_EQ(array.statPagesInvalidated.value(), 1u);
-    EXPECT_EQ(array.statSegmentErases.value(), 1u);
+    EXPECT_EQ(array.metPrograms.value(), 1u);
+    EXPECT_EQ(array.metInvalidations.value(), 1u);
+    EXPECT_EQ(array.metErases.value(), 1u);
 }
 
 TEST_F(FlashArrayTest, ShadowLifecycle)

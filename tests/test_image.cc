@@ -94,7 +94,7 @@ TEST(EnvyImage, WearHistorySurvives)
         Rng rng(2);
         for (int i = 0; i < 30000; ++i)
             store.writeU8(rng.below(store.size()), 1);
-        ASSERT_GT(store.flash().statSegmentErases.value(), 0u);
+        ASSERT_GT(store.flash().metErases.value(), 0u);
         for (std::uint32_t s = 0;
              s < store.flash().numSegments(); ++s)
             cycles.push_back(
@@ -183,7 +183,7 @@ TEST(EnvyImage, RetiredSlotsSurviveTheRoundTrip)
         }
         store.flash().programFaultHook = nullptr;
 
-        retired = store.flash().statSlotsRetired.value();
+        retired = store.flash().metSlotsRetired.value();
         ASSERT_EQ(retired, 4u);
         EnvyImage::save(store, path);
     }

@@ -2,9 +2,8 @@
  * @file
  * Differential verification of the observability layer: every figure
  * the metrics registry reports is recomputed from an independent
- * source — the gem5-style StatGroup counters (bumped on the same
- * code paths but flowing through a separate mechanism), brute-force
- * recounts over the flash array's actual state, and cross-component
+ * source — brute-force recounts over the flash array's actual state,
+ * host-side tallies of the accesses issued, and cross-component
  * conservation identities — and the two must agree exactly.
  *
  * The identities under a plain (transaction-free, fault-free) churn:
@@ -16,8 +15,9 @@
  *                      (every programmed slot is either still live
  *                      or was invalidated; recounted from the array)
  *   flash.erases    == sum(eraseCycles(seg))   (brute-force recount)
- *   cleaner.segments_cleaned == erase-count delta   (wear off: the
- *                      cleaner is the only client of eraseSegment)
+ *   erase-count delta == cleaner.segments_cleaned + 2 * wear.rotations
+ *                      (a clean erases its victim once, a wear
+ *                      rotation erases two segments)
  *   buf.inserts     == buf.flushes + occupancy gauge == buffer.size()
  *
  * Plus: snapshots from `--jobs 1` and `--jobs 4` sweeps are
@@ -72,43 +72,6 @@ countShadows(FlashArray &flash)
     for (std::uint32_t s = 0; s < flash.numSegments(); ++s)
         flash.forEachShadow(SegmentId{s}, [&](SlotId) { ++shadows; });
     return shadows;
-}
-
-/** Every metric must equal its same-path gem5-style stat twin. */
-void
-expectMetricsMatchStats(EnvyStore &store,
-                        const obs::MetricsSnapshot &snap)
-{
-    EXPECT_EQ(snap.counter("flash.programs"),
-              store.flash().statPagesProgrammed.value());
-    EXPECT_EQ(snap.counter("flash.invalidations"),
-              store.flash().statPagesInvalidated.value());
-    EXPECT_EQ(snap.counter("flash.erases"),
-              store.flash().statSegmentErases.value());
-    EXPECT_EQ(snap.counter("flash.page_reads"),
-              store.flash().statPageReads.value());
-    EXPECT_EQ(snap.counter("flash.slots_retired"),
-              store.flash().statSlotsRetired.value());
-    EXPECT_EQ(snap.counter("buf.inserts"),
-              store.writeBuffer().statInserts.value());
-    EXPECT_EQ(snap.counter("buf.flushes"),
-              store.writeBuffer().statFlushes.value());
-    EXPECT_EQ(snap.counter("cleaner.segments_cleaned"),
-              store.cleanerRef().statCleans.value());
-    EXPECT_EQ(snap.counter("cleaner.pages_copied"),
-              store.cleanerRef().statCleanerPrograms.value());
-    EXPECT_EQ(snap.counter("ctl.host_reads"),
-              store.controller().statHostReads.value());
-    EXPECT_EQ(snap.counter("ctl.host_writes"),
-              store.controller().statHostWrites.value());
-    EXPECT_EQ(snap.counter("ctl.cows"),
-              store.controller().statCows.value());
-    EXPECT_EQ(snap.counter("ctl.buffer_hits"),
-              store.controller().statBufferHits.value());
-    EXPECT_EQ(snap.counter("ctl.foreground_flushes"),
-              store.controller().statForegroundFlushes.value());
-    EXPECT_EQ(snap.counter("ctl.flush_retries"),
-              store.controller().statFlushRetries.value());
 }
 
 /**
@@ -174,7 +137,6 @@ TEST(ObsDifferential, ChurnMetricsMatchGroundTruth)
     EXPECT_EQ(snap.counter("ctl.host_reads"), host_reads);
     EXPECT_GT(snap.counter("cleaner.segments_cleaned"), 0u)
         << "churn too small to exercise the cleaner";
-    expectMetricsMatchStats(store, snap);
     expectConservation(store, base, snap);
 
     // segments_cleaned vs the erase count: with wear rotation
@@ -193,7 +155,6 @@ TEST(ObsDifferential, ChurnMetricsMatchGroundTruth)
         store.write(addr, buf);
     }
     const obs::MetricsSnapshot snap2 = store.metrics().snapshot();
-    expectMetricsMatchStats(store, snap2);
     expectConservation(store, base, snap2);
     EXPECT_EQ(snap2.counter("cleaner.segments_cleaned") - cleaned0 +
                   2 * snap2.counterDelta(snap, "wear.rotations"),
@@ -225,7 +186,6 @@ TEST(ObsDifferential, TpcaMetricsMatchGroundTruth)
 
     const obs::MetricsSnapshot snap = store.metrics().snapshot();
     EXPECT_GT(snap.counter("ctl.host_writes"), 0u);
-    expectMetricsMatchStats(store, snap);
     // Committed transactions release every shadow, so the same
     // conservation identities hold (shadow programs are cleaner /
     // flush programs like any other page write here: TpcaDatabase

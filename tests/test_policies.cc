@@ -111,10 +111,10 @@ TEST(GreedyPolicy, PicksMostInvalidatedVictim)
                                      LogicalPageId(page))),
                 ++page;
 
-    const std::uint64_t cleans0 = rig.cleaner.statCleans.value();
+    const std::uint64_t cleans0 = rig.cleaner.metSegmentsCleaned.value();
     const std::uint32_t dest = policy.flushDestination(0);
     EXPECT_EQ(dest, 1u); // the most-invalidated segment was cleaned
-    EXPECT_EQ(rig.cleaner.statCleans.value(), cleans0 + 1);
+    EXPECT_EQ(rig.cleaner.metSegmentsCleaned.value(), cleans0 + 1);
     EXPECT_GT(rig.space.freeSlots(dest), PageCount(0));
 }
 
@@ -124,7 +124,7 @@ TEST(GreedyPolicy, UsesFreeSegmentsBeforeCleaning)
     GreedyPolicy policy;
     policy.attach(rig.space, rig.cleaner);
     const std::uint32_t dest = policy.flushDestination(0);
-    EXPECT_EQ(rig.cleaner.statCleans.value(), 0u);
+    EXPECT_EQ(rig.cleaner.metSegmentsCleaned.value(), 0u);
     EXPECT_GT(rig.space.freeSlots(dest), PageCount(0));
 }
 
@@ -152,9 +152,9 @@ TEST(FifoPolicy, CleansInRotation)
     // is cleaned: 0, 1, 2, ...
     std::vector<std::uint32_t> victims;
     for (int round = 0; round < 3; ++round) {
-        const std::uint64_t cleans0 = rig.cleaner.statCleans.value();
+        const std::uint64_t cleans0 = rig.cleaner.metSegmentsCleaned.value();
         std::uint32_t dest = policy.flushDestination(0);
-        if (rig.cleaner.statCleans.value() > cleans0)
+        if (rig.cleaner.metSegmentsCleaned.value() > cleans0)
             victims.push_back(dest);
         // Exhaust the destination to force the next clean.
         while (rig.space.freeSlots(dest) > PageCount(0)) {
@@ -169,7 +169,7 @@ TEST(FifoPolicy, CleansInRotation)
         }
     }
     (void)policy.flushDestination(0);
-    EXPECT_GE(rig.cleaner.statCleans.value(), 3u);
+    EXPECT_GE(rig.cleaner.metSegmentsCleaned.value(), 3u);
 }
 
 TEST(LocalityGathering, FlushReturnsToOrigin)

@@ -123,10 +123,10 @@ TEST(ShadowTxn, ShadowsSurviveCleaning)
     // Grind the store to force many cleans; the §6 requirement is
     // that the controller "protects [shadows] from being cleaned".
     Rng rng(55);
-    const auto cleans0 = store.cleanerRef().statCleans.value();
+    const auto cleans0 = store.cleanerRef().metSegmentsCleaned.value();
     for (int i = 0; i < 40000; ++i)
         store.writeU8(rng.below(store.size()), 0x77);
-    EXPECT_GT(store.cleanerRef().statCleans.value(), cleans0 + 10);
+    EXPECT_GT(store.cleanerRef().metSegmentsCleaned.value(), cleans0 + 10);
 
     txns.abort(t);
     EXPECT_EQ(store.readU64(400), 0xCAFEull);

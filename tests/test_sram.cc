@@ -166,8 +166,8 @@ TEST_F(WriteBufferTest, StatsCountInsertsAndFlushes)
     buf.push(LogicalPageId(1), 0);
     buf.push(LogicalPageId(2), 0);
     buf.popTail();
-    EXPECT_EQ(buf.statInserts.value(), 2u);
-    EXPECT_EQ(buf.statFlushes.value(), 1u);
+    EXPECT_EQ(buf.metInserts.value(), 2u);
+    EXPECT_EQ(buf.metFlushes.value(), 1u);
 }
 
 TEST(WriteBufferDeathTest, PushWhenFullPanics)

@@ -72,7 +72,7 @@ TEST(WearLeveler, RotatesWhenSpreadExceedsThreshold)
     EXPECT_GT(wear.spread(space), 5u);
 
     EXPECT_TRUE(wear.maybeRotate(space, cleaner));
-    EXPECT_EQ(wear.statRotations.value(), 1u);
+    EXPECT_EQ(wear.metRotations.value(), 1u);
 
     // Logical segment 0 no longer lives on the worn segment.
     EXPECT_NE(space.physOf(0), worn);
@@ -114,7 +114,7 @@ TEST(WearLeveler, EndToEndSpreadStaysBounded)
         store.controller().write(page * ps, {&b, 1});
     }
 
-    EXPECT_GT(store.wearLeveler().statRotations.value(), 0u);
+    EXPECT_GT(store.wearLeveler().metRotations.value(), 0u);
     EXPECT_LT(store.wearLeveler().spread(store.space()),
               3 * cfg.wearThreshold + 4);
 }
