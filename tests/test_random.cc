@@ -105,6 +105,15 @@ struct LocalityCase
     double hot_access;
 };
 
+// Name each case by its spec. The default printer dumps the struct's
+// bytes, spec pointer included, so the discovered test names would
+// change with every build and every load address.
+void
+PrintTo(const LocalityCase &c, std::ostream *os)
+{
+    *os << c.spec;
+}
+
 class BimodalTest : public ::testing::TestWithParam<LocalityCase>
 {
 };
