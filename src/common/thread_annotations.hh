@@ -1,7 +1,7 @@
 /**
  * @file
  * Clang thread-safety annotation macros and the annotated mutex
- * wrappers the shared-state classes use (docs/STATIC_ANALYSIS.md §4).
+ * wrappers the shared-state classes use (docs/STATIC_ANALYSIS.md §3).
  *
  * The macros expand to Clang's thread-safety attributes when the
  * compiler understands them and to nothing otherwise, so GCC builds
@@ -103,7 +103,7 @@ class ENVY_SCOPED_CAPABILITY MutexLock
 
 /**
  * std::shared_mutex with the capability attribute: the controller's
- * structural lock (docs/STATIC_ANALYSIS.md §4).  Exclusive = mutate
+ * structural lock (docs/STATIC_ANALYSIS.md §3).  Exclusive = mutate
  * flash / policy / segment-space structure; shared = read flash data
  * concurrently with other readers.  BasicLockable in its exclusive
  * form, so std::condition_variable_any can wait on it.

@@ -7,7 +7,7 @@
 
 namespace envy {
 
-thread_local Tick Cleaner::tlBusy_ = 0;
+constinit thread_local Tick Cleaner::tlBusy_ = 0;
 
 namespace {
 

@@ -157,7 +157,7 @@ class Cleaner
         busyTime_ += t;
         tlBusy_ += t;
     }
-    static thread_local Tick tlBusy_;
+    static constinit thread_local Tick tlBusy_;
 
     std::unique_ptr<obs::MetricsRegistry> ownMetrics_;
 };

@@ -10,7 +10,7 @@
 
 namespace envy {
 
-thread_local Tick Controller::tlDeviceBusy_ = 0;
+constinit thread_local Tick Controller::tlDeviceBusy_ = 0;
 
 namespace {
 
@@ -113,6 +113,10 @@ Controller::quiesce(const std::function<void()> &fn)
     fn();
 }
 
+// Bootstrap placement, before the store is in service: persistence
+// arms only after it (EnvyStore's constructor), so a crash here
+// leaves no store to recover and no window for the crash explorer.
+// envy-analyze: allow(crash-point-coverage) bootstrap, not in service
 void
 Controller::populate(Placement placement, std::uint32_t aged_stride)
 {

@@ -321,7 +321,7 @@ class Controller
     Mutex waitMu_;
     std::condition_variable_any roomCv_;
 
-    static thread_local Tick tlDeviceBusy_;
+    static constinit thread_local Tick tlDeviceBusy_;
 
     std::unique_ptr<obs::MetricsRegistry> ownMetrics_;
 };

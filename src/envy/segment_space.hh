@@ -254,7 +254,7 @@ class SegmentSpace
     std::uint32_t numLogical_;
 
     // Guards the naming tables, indexes and policy clocks.  Lock
-    // order (docs/STATIC_ANALYSIS.md §4): Controller -> WearLeveler
+    // order (docs/STATIC_ANALYSIS.md §3): Controller -> WearLeveler
     // -> Cleaner -> SegmentSpace -> WriteBuffer; the flash
     // segmentChangedHook acquires this lock, so no method may mutate
     // flash while holding it.

@@ -103,6 +103,11 @@ WearLeveler::maybeRotate(SegmentSpace &space, Cleaner &cleaner)
     return true;
 }
 
+// Recovery replay: every stage is re-derived from the persistent wear
+// record, so a crash inside it is recovered by running it again, and
+// the page moves it repeats are cut by the cleaner.relocate.* points
+// inside moveAllPhysical().
+// envy-analyze: allow(crash-point-coverage) idempotent recovery replay
 bool
 WearLeveler::resumeRotation(SegmentSpace &space, Cleaner &cleaner)
 {

@@ -7,9 +7,9 @@
  * crash-point explorer multiplies that by every registered crash
  * point.  Every such run constructs its own System (store, flash,
  * SRAM, policy, RNGs), so runs share no mutable state and
- * parallelise embarrassingly.  This file is the only place in the
- * tree allowed to create threads (enforced by envy-lint's
- * no-naked-thread rule): all concurrency flows through ParallelRunner
+ * parallelise embarrassingly.  This file is one of the few in the
+ * tree allowed to create threads (envy-analyze's no-naked-thread rule
+ * lists them): all experiment concurrency flows through ParallelRunner
  * so the isolation argument has to be made exactly once.
  *
  * Determinism contract: results are delivered in submission order,

@@ -7,7 +7,7 @@ namespace envy {
 namespace crash_points {
 
 namespace detail {
-thread_local CrashSink *sink = nullptr;
+constinit thread_local CrashSink *sink = nullptr;
 std::atomic<CrashSink *> globalSink{nullptr};
 } // namespace detail
 

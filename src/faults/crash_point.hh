@@ -93,7 +93,7 @@ CrashSink *currentSink();
 CrashSink *setGlobalSink(CrashSink *sink);
 
 namespace detail {
-extern thread_local CrashSink *sink; // one sink per worker thread
+extern constinit thread_local CrashSink *sink; // one sink per worker thread
 extern std::atomic<CrashSink *> globalSink; // process-wide fallback
 
 struct Registrar

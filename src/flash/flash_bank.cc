@@ -87,8 +87,8 @@ FlashBank::programPageSlow(std::uint32_t block, std::uint32_t page_off,
     const std::uint64_t addr = byteAddr(block, page_off);
     Tick busy = 0;
     for (std::uint32_t j = 0; j < chipsPerBank_; ++j) {
-        chips_[j].writeCommand(FlashCmd::ProgramSetup); // envy-lint: allow(no-per-byte-page-loop) slow-path oracle
-        busy = std::max(busy, chips_[j].programByte(addr, data[j])); // envy-lint: allow(no-per-byte-page-loop) slow-path oracle
+        chips_[j].writeCommand(FlashCmd::ProgramSetup); // envy-analyze: allow(no-per-byte-page-loop) slow-path oracle
+        busy = std::max(busy, chips_[j].programByte(addr, data[j])); // envy-analyze: allow(no-per-byte-page-loop) slow-path oracle
     }
     return busy;
 }

@@ -137,7 +137,7 @@ JsonlFileSink::flush()
 namespace trace {
 
 namespace detail {
-thread_local TraceSink *sink = nullptr;
+constinit thread_local TraceSink *sink = nullptr;
 
 void
 emitSlow(const char *name, const TraceField *fields, std::size_t numFields)
@@ -170,7 +170,7 @@ registry()
     static std::vector<std::string> events = [] {
         // Canonical inventory of the trace events threaded through
         // the system — the event catalog of docs/OBSERVABILITY.md.
-        // envy_lint's trace-event-registered rule checks every
+        // envy-analyze's trace-event-registered rule checks every
         // ENVY_TRACE call site against this list, so adding an event
         // means adding it here (and to the docs) first.
         return std::vector<std::string>{

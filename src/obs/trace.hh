@@ -17,7 +17,7 @@
  *  - Call sites use `ENVY_TRACE("cleaner.clean.start", tv("live", n))`.
  *    Event names are string literals, dotted, unique per call site,
  *    and pre-registered in the canonical inventory (trace.cc) —
- *    enforced by envy_lint's trace-event rules.
+ *    enforced by envy-analyze's trace-event rules.
  *  - The sink is thread-local: each worker of the parallel experiment
  *    engine traces only its own simulated system.  Installing is one
  *    pointer write; with no sink installed a trace site is a single
@@ -206,7 +206,7 @@ class ScopedTraceSink
 };
 
 namespace detail {
-extern thread_local TraceSink *sink; // one sink per worker thread
+extern constinit thread_local TraceSink *sink; // one sink per worker thread
 
 struct Registrar
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * MmapPool: the single place in the tree that owns raw file-mapping
- * syscalls (mmap / msync / fallocate / ftruncate — the envy-lint
+ * syscalls (mmap / msync / fallocate / ftruncate — the envy-analyze
  * `no-raw-mmap` rule fences them in here).
  *
  * A pool is one sparse file mapped MAP_SHARED.  The file is sized

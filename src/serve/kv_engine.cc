@@ -137,7 +137,7 @@ KvEngine::open(EnvyStore &store)
                           cfg.numShards) % 64),
                 "serve: stored shardBytes ", shard_bytes,
                 " does not match the store size");
-    // envy-lint: allow(no-raw-alloc) tag ctor is private to the class
+    // envy-analyze: allow(no-raw-alloc) tag ctor is private to the class
     KvEngine *eng = new KvEngine(store, cfg, OpenTag{});
     return std::unique_ptr<KvEngine>(eng);
 }

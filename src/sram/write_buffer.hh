@@ -182,7 +182,7 @@ class WriteBuffer
     std::uint32_t threshold_;
     Addr dataBase_;
 
-    // Guards the FIFO metadata below (docs/STATIC_ANALYSIS.md §4).
+    // Guards the FIFO metadata below (docs/STATIC_ANALYSIS.md §3).
     // Slot *data* windows are not guarded: the page bytes belong to
     // the SRAM array and are raced only by design (data plane).
     mutable Mutex mu_;

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <ostream>
 #include <vector>
 
 #include "common/units.hh"
@@ -270,7 +270,32 @@ TEST(PolicyFactory, MakesAllKinds)
 
 // ---- parameterized invariant fuzz --------------------------------
 
-using FuzzParam = std::tuple<PolicyKind, const char *>;
+struct FuzzParam
+{
+    PolicyKind kind;
+    const char *locality;
+};
+
+// Print the policy and locality, not the struct's bytes: those include
+// the locality pointer, which would make the discovered test names
+// differ per build.
+void
+PrintTo(const FuzzParam &p, std::ostream *os)
+{
+    *os << policyKindName(p.kind) << " " << p.locality;
+}
+
+std::vector<FuzzParam>
+fuzzParams()
+{
+    std::vector<FuzzParam> params;
+    for (const PolicyKind kind :
+         {PolicyKind::Greedy, PolicyKind::Fifo,
+          PolicyKind::LocalityGathering, PolicyKind::Hybrid})
+        for (const char *locality : {"50/50", "20/80", "5/95"})
+            params.push_back({kind, locality});
+    return params;
+}
 
 class PolicyFuzz : public ::testing::TestWithParam<FuzzParam>
 {
@@ -312,14 +337,10 @@ TEST_P(PolicyFuzz, InvariantsHoldUnderChurn)
 
 INSTANTIATE_TEST_SUITE_P(
     AllPoliciesAndLocalities, PolicyFuzz,
-    ::testing::Combine(
-        ::testing::Values(PolicyKind::Greedy, PolicyKind::Fifo,
-                          PolicyKind::LocalityGathering,
-                          PolicyKind::Hybrid),
-        ::testing::Values("50/50", "20/80", "5/95")),
+    ::testing::ValuesIn(fuzzParams()),
     [](const auto &param_info) {
-        std::string name = policyKindName(std::get<0>(param_info.param));
-        std::string loc = std::get<1>(param_info.param);
+        std::string name = policyKindName(param_info.param.kind);
+        std::string loc = param_info.param.locality;
         for (auto &c : name)
             if (c == '-')
                 c = '_';

@@ -109,6 +109,22 @@ serveUntilKilled(const std::string &path, int ackFd)
     }
 }
 
+/**
+ * Read one acked key from the child's pipe.  False on EOF (the child
+ * is gone and the pipe drained) or a torn read.
+ */
+bool
+readAckedKey(int fd, std::uint64_t &key)
+{
+    for (;;) {
+        const ssize_t n = ::read(fd, &key, sizeof(key));
+        if (n == static_cast<ssize_t>(sizeof(key)))
+            return true;
+        if (!(n < 0 && errno == EINTR))
+            return false;
+    }
+}
+
 TEST(ServeRestart, AckedPutsSurviveSigkill)
 {
     bool anyAcks = false;
@@ -125,22 +141,18 @@ TEST(ServeRestart, AckedPutsSurviveSigkill)
         }
         ::close(fds[1]);
 
-        // Collect acked keys while the child serves, then kill it
-        // mid-flight.
+        // Start the kill timer at the child's first ack, not at
+        // fork(): bootstrap time varies several-fold between builds
+        // (sanitizers), the serving window should not.  Then kill it
+        // mid-flight and collect every key it acked.
+        std::vector<std::uint64_t> acked;
+        std::uint64_t ackKey;
+        if (readAckedKey(fds[0], ackKey))
+            acked.push_back(ackKey);
         ::usleep(static_cast<useconds_t>(killDelayMs) * 1000);
         ASSERT_EQ(::kill(child, SIGKILL), 0);
-        std::vector<std::uint64_t> acked;
-        for (;;) {
-            std::uint64_t key;
-            const ssize_t n = ::read(fds[0], &key, sizeof(key));
-            if (n == static_cast<ssize_t>(sizeof(key))) {
-                acked.push_back(key);
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            break; // EOF: child gone, pipe drained
-        }
+        while (readAckedKey(fds[0], ackKey))
+            acked.push_back(ackKey);
         ::close(fds[0]);
         int status = 0;
         ASSERT_EQ(::waitpid(child, &status, 0), child);
@@ -264,20 +276,15 @@ TEST(ServeRestart, GroupCommitAckedPutsSurviveSigkill)
         }
         ::close(fds[1]);
 
+        // As above: the kill timer starts at the first ack.
+        std::vector<std::uint64_t> acked;
+        std::uint64_t ackKey;
+        if (readAckedKey(fds[0], ackKey))
+            acked.push_back(ackKey);
         ::usleep(static_cast<useconds_t>(killDelayMs) * 1000);
         ASSERT_EQ(::kill(child, SIGKILL), 0);
-        std::vector<std::uint64_t> acked;
-        for (;;) {
-            std::uint64_t key;
-            const ssize_t n = ::read(fds[0], &key, sizeof(key));
-            if (n == static_cast<ssize_t>(sizeof(key))) {
-                acked.push_back(key);
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            break;
-        }
+        while (readAckedKey(fds[0], ackKey))
+            acked.push_back(ackKey);
         ::close(fds[0]);
         int status = 0;
         ASSERT_EQ(::waitpid(child, &status, 0), child);
