@@ -56,7 +56,6 @@ FlashArray::FlashArray(const Geometry &geom, const FlashTiming &timing,
                                        "erases that overran their "
                                        "rated window");
 
-    banks_.reserve(geom_.numBanks);
     for (std::uint32_t b = 0; b < geom_.numBanks; ++b)
         banks_.emplace_back(geom_.pageSize, geom_.blockBytes,
                             geom_.blocksPerChip, timing_, store_data,

@@ -19,6 +19,7 @@
 #define ENVY_FLASH_FLASH_ARRAY_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -285,7 +286,7 @@ class FlashArray
     FlashTiming timing_;
     bool storeData_;
     bool slowDataplane_;
-    std::vector<FlashBank> banks_;
+    std::deque<FlashBank> banks_; //!< deque: FlashBank is immovable
     std::vector<SegmentState> segments_;
     PageCount totalLive_;
     persist::FlashPersist *persist_ = nullptr;

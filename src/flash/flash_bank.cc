@@ -120,7 +120,8 @@ FlashBank::programPage(std::uint32_t block, std::uint32_t page_off,
 
     if (!storeData_) {
         if (overrun) {
-            lanesLockstep_ = false; // latches programError per lane
+            // Latches programError per lane.
+            lanesLockstep_.store(false, std::memory_order_relaxed);
             for (auto &c : chips_)
                 c.noteProgramSpecFail(block);
         }
@@ -142,7 +143,7 @@ FlashBank::programPage(std::uint32_t block, std::uint32_t page_off,
             std::memcpy(cells.data(), data.data(), chipsPerBank_);
         }
         if (overrun) {
-            lanesLockstep_ = false;
+            lanesLockstep_.store(false, std::memory_order_relaxed);
             for (auto &c : chips_)
                 c.noteProgramSpecFail(block);
         }
@@ -161,13 +162,14 @@ FlashBank::programPage(std::uint32_t block, std::uint32_t page_off,
         for (std::uint32_t j = 0; j < chipsPerBank_; ++j)
             cells[j] = static_cast<std::uint8_t>(cells[j] & data[j]);
         if (overrun) {
-            lanesLockstep_ = false;
+            lanesLockstep_.store(false, std::memory_order_relaxed);
             for (auto &c : chips_)
                 c.noteProgramSpecFail(block);
         }
         return t;
     }
-    lanesLockstep_ = false; // some lane latches programError below
+    // Some lane latches programError below.
+    lanesLockstep_.store(false, std::memory_order_relaxed);
     for (std::uint32_t j = 0; j < chipsPerBank_; ++j) {
         if ((data[j] & ~cells[j]) != 0) {
             chips_[j].noteProgramError();
@@ -201,8 +203,10 @@ FlashBank::eraseSegment(std::uint32_t block)
     const std::uint64_t cycles = chips_[0].blockCycles(block);
     const Tick t = timing_.eraseTimeAfter(cycles);
     const bool overrun = t > timing_.maxEraseTime;
-    if (overrun)
-        lanesLockstep_ = false; // applyBankErase latches eraseError
+    if (overrun) {
+        // applyBankErase latches eraseError.
+        lanesLockstep_.store(false, std::memory_order_relaxed);
+    }
     for (auto &c : chips_) {
         ENVY_ASSERT(c.blockCycles(block) == cycles,
                     "flash: bank wear out of lockstep");
@@ -253,7 +257,7 @@ FlashBank::clearStatus()
 {
     // ClearStatus leaves lanes in read-status mode on real parts; the
     // model mirrors whatever FlashChip does, so revalidate lazily.
-    lanesLockstep_ = false;
+    lanesLockstep_.store(false, std::memory_order_relaxed);
     for (auto &chip : chips_)
         chip.writeCommand(FlashCmd::ClearStatus);
 }

@@ -23,6 +23,7 @@
 #ifndef ENVY_FLASH_FLASH_BANK_HH
 #define ENVY_FLASH_FLASH_BANK_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -135,7 +136,7 @@ class FlashBank
         // Arbitrary CUI access may leave this lane in any mode, so
         // the lockstep cache cannot survive it; the next bulk
         // operation revalidates with one full scan.
-        lanesLockstep_ = false;
+        lanesLockstep_.store(false, std::memory_order_relaxed);
         return chips_[i];
     }
     const FlashChip &chip(std::uint32_t i) const { return chips_[i]; }
@@ -150,23 +151,27 @@ class FlashBank
      * Lazily revalidated: cleared pessimistically by anything that
      * can perturb a lane (external chip() access, latched errors,
      * ClearStatus), re-established by one scan on the next query.
-     * Callers already serialize bank operations (the chips' own
-     * mode/status fields are plain members), so the mutable cache
-     * adds no new concurrency requirement.  Never consulted in
-     * slow-dataplane mode, where per-chip CUI sequences mutate lanes
-     * without telling the bank.
+     * Mutating bank operations are serialized by their callers, but
+     * page reads are not: concurrent host readers run readPage()
+     * side by side (the controller's structural lock is held shared),
+     * and each may re-establish the cache.  So the cache is a relaxed
+     * atomic; every writer of it stores a value the lanes justify at
+     * that moment, and the lanes themselves only change under the
+     * callers' exclusion.  Never consulted in slow-dataplane mode,
+     * where per-chip CUI sequences mutate lanes without telling the
+     * bank.
      */
     bool lanesLockstep() const
     {
         if (slowDataplane_)
             return false;
-        if (lanesLockstep_)
+        if (lanesLockstep_.load(std::memory_order_relaxed))
             return true;
         for (const auto &c : chips_) {
             if (!c.lockstepIdle())
                 return false;
         }
-        lanesLockstep_ = true;
+        lanesLockstep_.store(true, std::memory_order_relaxed);
         return true;
     }
     std::uint64_t byteAddr(std::uint32_t block, std::uint32_t page_off) const
@@ -189,7 +194,7 @@ class FlashBank
     std::unique_ptr<BankPageStore> store_; //!< null in metadata mode
     std::vector<FlashChip> chips_;
     //! Cached "every lane is lockstep-idle"; see lanesLockstep().
-    mutable bool lanesLockstep_ = false;
+    mutable std::atomic<bool> lanesLockstep_{false};
 };
 
 } // namespace envy

@@ -97,6 +97,10 @@ Server::Server(EnvyStore &store, KvEngine &engine,
             {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096,
              8192, 16384, 32768, 65536, 131072, 262144, 524288,
              1048576});
+        metCommitBatch_ = reg.histogram(
+            "serve.commit_batch", "acks",
+            "durable acks released per commit-thread flush",
+            {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
     }
 
     // Chain onto the controller's backpressure hook: the cleaner
@@ -439,6 +443,10 @@ Server::commitLoop()
         for (const PendingAck &ack : batch)
             writeResponse(ack.conn, ack.resp);
         metCommitBatches_.add();
+        {
+            MutexLock lock(histMu_);
+            metCommitBatch_.record(batch.size());
+        }
         ENVY_TRACE("serve.commit_batch",
                    obs::tv("acks", batch.size()));
     }

@@ -265,6 +265,7 @@ class Server
     // through this server-owned lock (metrics.hh file comment).
     Mutex histMu_;
     obs::Histogram metExecUs_ ENVY_GUARDED_BY(histMu_);
+    obs::Histogram metCommitBatch_ ENVY_GUARDED_BY(histMu_);
 };
 
 } // namespace serve

@@ -31,11 +31,12 @@ WriteBuffer::WriteBuffer(SramArray &sram, Addr base,
                              "resident pages; high = high-water");
     MutexLock lock(mu_);
     // Fresh buffer: mark every slot unowned.
+    owners_ = std::make_unique<std::atomic<std::uint32_t>[]>(capacity_);
     for (std::uint32_t s = 0; s < capacity_; ++s) {
         sram_.writeUint(slotMetaAddr(s), noOwner, 4);
         sram_.writeUint(slotMetaAddr(s) + 4, 0, 4);
+        setOwnerLocked(s, noOwner);
     }
-    owners_.assign(capacity_, noOwner);
     origins_.assign(capacity_, 0);
     std::uint32_t table = 4;
     while (table < 2 * capacity_)
@@ -50,7 +51,7 @@ WriteBuffer::mapInsert(std::uint32_t key, std::uint32_t ring_slot)
 {
     std::uint32_t i = probeHome(key);
     while (probe_[i] != probeEmpty) {
-        ENVY_ASSERT(owners_[probe_[i]] != key, "buffer: page ",
+        ENVY_ASSERT(ownerLocked(probe_[i]) != key, "buffer: page ",
                     key, " is already resident");
         i = (i + 1) & probeMask_;
     }
@@ -61,7 +62,7 @@ void
 WriteBuffer::mapErase(std::uint32_t key)
 {
     std::uint32_t i = probeHome(key);
-    while (probe_[i] != probeEmpty && owners_[probe_[i]] != key)
+    while (probe_[i] != probeEmpty && ownerLocked(probe_[i]) != key)
         i = (i + 1) & probeMask_;
     ENVY_ASSERT(probe_[i] != probeEmpty,
                 "buffer: residency map out of lockstep");
@@ -70,7 +71,7 @@ WriteBuffer::mapErase(std::uint32_t key)
     std::uint32_t hole = i;
     std::uint32_t j = (i + 1) & probeMask_;
     while (probe_[j] != probeEmpty) {
-        const std::uint32_t home = probeHome(owners_[probe_[j]]);
+        const std::uint32_t home = probeHome(ownerLocked(probe_[j]));
         if (((j - home) & probeMask_) >= ((j - hole) & probeMask_)) {
             probe_[hole] = probe_[j];
             hole = j;
@@ -85,7 +86,7 @@ WriteBuffer::mapFind(std::uint32_t key) const
 {
     std::uint32_t i = probeHome(key);
     while (probe_[i] != probeEmpty) {
-        if (owners_[probe_[i]] == key)
+        if (ownerLocked(probe_[i]) == key)
             return probe_[i];
         i = (i + 1) & probeMask_;
     }
@@ -106,14 +107,15 @@ void
 WriteBuffer::syncHeader()
 {
     sram_.writeUint(base_ + headOff, head_, 4);
-    sram_.writeUint(base_ + countOff, count_, 4);
+    sram_.writeUint(base_ + countOff, size(), 4);
 }
 
 BufferSlotId
 WriteBuffer::push(LogicalPageId logical, std::uint64_t origin)
 {
     MutexLock lock(mu_);
-    ENVY_ASSERT(count_ < capacity_,
+    const std::uint32_t count = size();
+    ENVY_ASSERT(count < capacity_,
                 "buffer: push into a full write buffer");
     ENVY_ASSERT(logical.valid() && logical.value() < noOwner,
                 "buffer: bad logical page");
@@ -122,14 +124,17 @@ WriteBuffer::push(LogicalPageId logical, std::uint64_t origin)
                     static_cast<std::uint32_t>(logical.value()), 4);
     sram_.writeUint(slotMetaAddr(slot) + 4,
                     static_cast<std::uint32_t>(origin), 4);
-    owners_[slot] = static_cast<std::uint32_t>(logical.value());
+    const auto owner = static_cast<std::uint32_t>(logical.value());
+    mapInsert(owner, slot); // asserts the page was not resident
+    // Publish the owner before the count: a lock-free reader that sees
+    // the new occupancy also sees the slot it covers.
+    setOwnerLocked(slot, owner);
     origins_[slot] = static_cast<std::uint32_t>(origin);
-    mapInsert(owners_[slot], slot); // asserts the page was not resident
     head_ = (head_ + 1) % capacity_;
-    ++count_;
+    setCountLocked(count + 1);
     syncHeader();
     metInserts.add();
-    metOccupancy.set(count_);
+    metOccupancy.set(count + 1);
     return BufferSlotId(slot);
 }
 
@@ -137,36 +142,36 @@ WriteBuffer::TailInfo
 WriteBuffer::tail() const
 {
     MutexLock lock(mu_);
-    ENVY_ASSERT(count_ > 0, "buffer: tail of an empty write buffer");
-    const BufferSlotId slot(
-        (head_ + capacity_ - count_) % capacity_);
-    return TailInfo{slot, slotOwnerLocked(slot),
-                    slotOriginLocked(slot)};
+    const std::uint32_t count = size();
+    ENVY_ASSERT(count > 0, "buffer: tail of an empty write buffer");
+    const BufferSlotId slot((head_ + capacity_ - count) % capacity_);
+    return TailInfo{slot, slotOwner(slot), slotOriginLocked(slot)};
 }
 
 void
 WriteBuffer::popTail()
 {
     MutexLock lock(mu_);
-    ENVY_ASSERT(count_ > 0, "buffer: pop of an empty write buffer");
-    const std::uint32_t slot =
-        (head_ + capacity_ - count_) % capacity_;
+    const std::uint32_t count = size();
+    ENVY_ASSERT(count > 0, "buffer: pop of an empty write buffer");
+    const std::uint32_t slot = (head_ + capacity_ - count) % capacity_;
     sram_.writeUint(slotMetaAddr(slot), noOwner, 4);
-    ENVY_ASSERT(owners_[slot] != noOwner,
+    ENVY_ASSERT(ownerLocked(slot) != noOwner,
                 "buffer: pop of an unowned tail slot");
-    mapErase(owners_[slot]); // before the owner mirror is cleared
-    owners_[slot] = noOwner;
-    --count_;
+    mapErase(ownerLocked(slot)); // before the owner mirror is cleared
+    setOwnerLocked(slot, noOwner);
+    setCountLocked(count - 1);
     syncHeader();
     metFlushes.add();
-    metOccupancy.set(count_);
+    metOccupancy.set(count - 1);
 }
 
 LogicalPageId
-WriteBuffer::slotOwnerLocked(BufferSlotId slot) const
+WriteBuffer::slotOwner(BufferSlotId slot) const
 {
     ENVY_ASSERT(slot.value() < capacity_, "buffer: slot out of range");
-    const std::uint32_t v = owners_[slot.value()];
+    const std::uint32_t v =
+        owners_[slot.value()].load(std::memory_order_acquire);
     if (v == noOwner)
         return LogicalPageId::invalid();
     return LogicalPageId(v);
@@ -177,13 +182,6 @@ WriteBuffer::slotOriginLocked(BufferSlotId slot) const
 {
     ENVY_ASSERT(slot.value() < capacity_, "buffer: slot out of range");
     return origins_[slot.value()];
-}
-
-LogicalPageId
-WriteBuffer::slotOwner(BufferSlotId slot) const
-{
-    MutexLock lock(mu_);
-    return slotOwnerLocked(slot);
 }
 
 std::uint64_t
@@ -232,13 +230,14 @@ void
 WriteBuffer::reset()
 {
     MutexLock lock(mu_);
-    for (std::uint32_t s = 0; s < capacity_; ++s)
+    for (std::uint32_t s = 0; s < capacity_; ++s) {
         sram_.writeUint(slotMetaAddr(s), noOwner, 4);
-    owners_.assign(capacity_, noOwner);
+        setOwnerLocked(s, noOwner);
+    }
     origins_.assign(capacity_, 0);
     probe_.assign(probe_.size(), probeEmpty);
     head_ = 0;
-    count_ = 0;
+    setCountLocked(0);
     syncHeader();
 }
 
@@ -248,21 +247,23 @@ WriteBuffer::recover()
     MutexLock lock(mu_);
     head_ = static_cast<std::uint32_t>(
         sram_.readUint(base_ + headOff, 4));
-    count_ = static_cast<std::uint32_t>(
+    const auto count = static_cast<std::uint32_t>(
         sram_.readUint(base_ + countOff, 4));
-    ENVY_ASSERT(head_ < capacity_ && count_ <= capacity_,
+    ENVY_ASSERT(head_ < capacity_ && count <= capacity_,
                 "buffer: corrupt header after power failure");
     // The one legitimate full scan: rebuild the in-core mirrors and
     // the residency map from the durable SRAM slot table.
     probe_.assign(probe_.size(), probeEmpty);
     for (std::uint32_t s = 0; s < capacity_; ++s) {
-        owners_[s] = static_cast<std::uint32_t>(
+        const auto owner = static_cast<std::uint32_t>(
             sram_.readUint(slotMetaAddr(s), 4));
+        setOwnerLocked(s, owner);
         origins_[s] = static_cast<std::uint32_t>(
             sram_.readUint(slotMetaAddr(s) + 4, 4));
-        if (owners_[s] != noOwner)
-            mapInsert(owners_[s], s);
+        if (owner != noOwner)
+            mapInsert(owner, s);
     }
+    setCountLocked(count);
 }
 
 } // namespace envy

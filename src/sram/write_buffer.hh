@@ -22,6 +22,7 @@
 #define ENVY_SRAM_WRITE_BUFFER_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -57,27 +58,17 @@ class WriteBuffer
                                      bool store_data);
 
     std::uint32_t capacity() const { return capacity_; }
+    // Occupancy reads take no lock: count_ is published under mu_
+    // and read here as a snapshot that may be stale by the time the
+    // caller acts on it (callers recheck under their own locks).
     std::uint32_t size() const
     {
-        MutexLock lock(mu_);
-        return count_;
+        return count_.load(std::memory_order_acquire);
     }
-    bool empty() const
-    {
-        MutexLock lock(mu_);
-        return count_ == 0;
-    }
-    bool full() const
-    {
-        MutexLock lock(mu_);
-        return count_ == capacity_;
-    }
+    bool empty() const { return size() == 0; }
+    bool full() const { return size() == capacity_; }
     /** Occupancy at or above which background flushing should run. */
-    bool aboveThreshold() const
-    {
-        MutexLock lock(mu_);
-        return count_ >= threshold_;
-    }
+    bool aboveThreshold() const { return size() >= threshold_; }
     std::uint32_t threshold() const { return threshold_; }
 
     /**
@@ -104,6 +95,12 @@ class WriteBuffer
     /** Release the tail slot after its page has been flushed. */
     void popTail();
 
+    /**
+     * Page resident in @p slot, or an invalid id.  Lock-free: the
+     * owner word is published under mu_, so a read outside the slot's
+     * stripe is only a hint; callers that act on it revalidate under
+     * slotStripe(slot) (see there).
+     */
     LogicalPageId slotOwner(BufferSlotId slot) const;
     std::uint64_t slotOrigin(BufferSlotId slot) const;
 
@@ -122,14 +119,16 @@ class WriteBuffer
     bool slotResident(BufferSlotId slot) const;
 
     /**
-     * Stripe lock guarding the *data* window of @p slot (PR 8).
-     * Concurrent hit-writers and the flusher serialize one slot's page
-     * bytes through this; the FIFO metadata stays under mu_.  Lock
-     * order: acquired after the controller's shard/structural locks
-     * and before mu_ (docs/INTERNALS.md lock-order table).  A writer
-     * must re-validate slotOwner(slot) after taking the stripe: the
-     * flusher holds it across program + map-swing + popTail, so an
-     * owner match under the stripe proves the slot is still live.
+     * Stripe lock guarding the *data* window of @p slot.  Concurrent
+     * hit-writers and the flusher serialize one slot's page bytes
+     * through this.  The FIFO metadata is written under mu_, but the
+     * occupancy and owner words are read without it (size(),
+     * slotOwner()).  Lock order: acquired after the controller's
+     * shard/structural locks and before mu_ (docs/INTERNALS.md
+     * lock-order table).  A writer must re-validate slotOwner(slot)
+     * after taking the stripe: the flusher holds it across program +
+     * map-swing + popTail, so an owner match under the stripe proves
+     * the slot is still live.
      */
     Mutex &slotStripe(BufferSlotId slot)
     {
@@ -169,8 +168,20 @@ class WriteBuffer
     }
 
     void syncHeader() ENVY_REQUIRES(mu_);
-    LogicalPageId slotOwnerLocked(BufferSlotId slot) const
-        ENVY_REQUIRES(mu_);
+    std::uint32_t ownerLocked(std::uint32_t ring_slot) const
+        ENVY_REQUIRES(mu_)
+    {
+        return owners_[ring_slot].load(std::memory_order_relaxed);
+    }
+    void setOwnerLocked(std::uint32_t ring_slot, std::uint32_t owner)
+        ENVY_REQUIRES(mu_)
+    {
+        owners_[ring_slot].store(owner, std::memory_order_release);
+    }
+    void setCountLocked(std::uint32_t n) ENVY_REQUIRES(mu_)
+    {
+        count_.store(n, std::memory_order_release);
+    }
     std::uint64_t slotOriginLocked(BufferSlotId slot) const
         ENVY_REQUIRES(mu_);
 
@@ -189,19 +200,21 @@ class WriteBuffer
 
     // In-core mirrors of the SRAM header (authoritative copy is SRAM).
     std::uint32_t head_ ENVY_GUARDED_BY(mu_) = 0; //!< next insertion
-    std::uint32_t count_ ENVY_GUARDED_BY(mu_) = 0;
+    //! Stored only under mu_; loaded anywhere (size()).
+    std::atomic<std::uint32_t> count_{0};
 
     // In-core mirrors of the per-slot metadata, plus a logical-page ->
     // ring-slot map, all kept in lockstep with the FIFO so lookups
     // never walk the SRAM slot table.  recover() rebuilds them with
-    // the one legitimate full scan.
-    std::vector<std::uint32_t> owners_ ENVY_GUARDED_BY(mu_);
+    // the one legitimate full scan.  owners_ words are stored only
+    // under mu_ and loaded anywhere (slotOwner()).
+    std::unique_ptr<std::atomic<std::uint32_t>[]> owners_;
     std::vector<std::uint32_t> origins_ ENVY_GUARDED_BY(mu_);
 
     // Residency map as a flat open-addressing table (copy-on-write
     // hits it on every host write, so it must not allocate per push
     // the way a node-based map does).  Entries hold a ring slot or
-    // probeEmpty; the key of an occupied entry is owners_[entry].
+    // probeEmpty; the key of an occupied entry is ownerLocked(entry).
     // Power-of-two size >= 2 * capacity keeps probes short; erase
     // uses backward-shift deletion so chains stay contiguous.
     static constexpr std::uint32_t probeEmpty = 0xFFFFFFFFu;

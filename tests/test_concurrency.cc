@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "envy/cleaner_pool.hh"
 #include "envy/envy_store.hh"
 #include "envysim/crash_explorer.hh"
 #include "persist/backend.hh"
@@ -62,11 +63,17 @@ recountErases(FlashArray &flash)
  * The conservation identities of test_obs_differential, which must
  * survive concurrent histories: counters are relaxed atomics bumped
  * on the same code paths, so cross-component sums still balance once
- * the threads are joined and the buffer is drained.
+ * the threads are joined and the buffer is drained.  The background
+ * cleaners are stopped (joined) for the check and restarted after
+ * it: a clean running alongside would move pages between the
+ * snapshot and the recount, and race the recount's reads.
  */
 void
 expectConservation(EnvyStore &store, bool across_recovery = false)
 {
+    CleanerPool *pool = store.cleanerPool();
+    if (pool)
+        pool->stop();
     const obs::MetricsSnapshot snap = store.metrics().snapshot();
     EXPECT_EQ(snap.counter("flash.programs"),
               snap.counter("flash.invalidations") +
@@ -84,6 +91,8 @@ expectConservation(EnvyStore &store, bool across_recovery = false)
               store.controller().metHostWrites.value());
     EXPECT_EQ(snap.counter("ctl.cows"),
               store.controller().metCows.value());
+    if (pool)
+        pool->start();
 }
 
 struct LoggedOp

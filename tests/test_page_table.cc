@@ -3,6 +3,8 @@
  * Tests for the 6-byte-entry page table (§3.3).
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "envy/page_table.hh"
@@ -99,6 +101,15 @@ struct PackCase
     std::uint64_t segment;
     std::uint32_t slot;
 };
+
+// Print the fields, not the struct's bytes: those include 4 padding
+// bytes, which would make the discovered test names differ per build.
+void
+PrintTo(const PackCase &c, std::ostream *os)
+{
+    *os << std::hex << std::showbase << "{" << c.segment << ", " << c.slot
+        << "}";
+}
 
 class PageTablePackTest : public ::testing::TestWithParam<PackCase>
 {

@@ -503,6 +503,51 @@ TEST(ServeRestart, CleanShutdownReopensIntact)
     cleanup(path);
 }
 
+TEST(ServeRestart, CommitBatchHistogramCountsEveryDurableAck)
+{
+    // Under group commit every PUT ack waits for the commit thread.
+    // serve.commit_batch takes one sample per commit-thread flush, so
+    // its sample count is serve.commit_batches and its samples add up
+    // to the acks released.
+    const std::string path = tempStore("serve_commit_batch.store");
+    {
+        EnvyConfig storeCfg = persistentConfig(path);
+        storeCfg.numWorkers = 2;
+        storeCfg.numCleaners = 1;
+        EnvyStore store(storeCfg);
+        ASSERT_TRUE(store.controller().concurrent());
+        KvEngineConfig engCfg;
+        engCfg.numShards = 4;
+        KvEngine engine(store, engCfg);
+        ServeConfig cfg;
+        cfg.workers = 2;
+        cfg.durableAcks = true;
+        Server server(store, engine, cfg);
+        LoopbackPair pair = loopbackPair();
+        server.attach(std::move(pair.server));
+        KvClient client(std::move(pair.client));
+
+        constexpr std::uint64_t puts = 200;
+        for (std::uint64_t key = 0; key < puts; key++)
+            client.sendPut(key, valueFor(key));
+        for (std::uint64_t i = 0; i < puts; i++) {
+            Response resp;
+            ASSERT_TRUE(client.recv(resp, true));
+            ASSERT_EQ(resp.status, Status::Ok);
+        }
+        server.stop();
+
+        const obs::MetricsSnapshot snap = store.metrics().snapshot();
+        const obs::MetricsSnapshot::Entry *batch =
+            snap.find("serve.commit_batch");
+        ASSERT_NE(batch, nullptr);
+        EXPECT_GT(batch->histCount, 0u);
+        EXPECT_EQ(batch->histCount, snap.counter("serve.commit_batches"));
+        EXPECT_EQ(batch->histSum, static_cast<double>(puts));
+    }
+    cleanup(path);
+}
+
 } // namespace
 } // namespace serve
 } // namespace envy

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "sram/sram_array.hh"
@@ -168,6 +170,48 @@ TEST_F(WriteBufferTest, StatsCountInsertsAndFlushes)
     buf.popTail();
     EXPECT_EQ(buf.metInserts.value(), 2u);
     EXPECT_EQ(buf.metFlushes.value(), 1u);
+}
+
+TEST_F(WriteBufferTest, LockFreeReadersSeeOnlyLegalStates)
+{
+    // One writer pushes pages 0, 1, 2, ... and pops the tail to keep
+    // occupancy moving; page n always lands in ring slot n % cap.  A
+    // reader polling size() and slotOwner() without the buffer's lock
+    // may see any moment of that history, but never a state outside
+    // it: an occupancy beyond capacity, a page in the wrong slot, a
+    // page not yet pushed, or a slot's owner going backwards.
+    constexpr std::uint32_t pages = 20000;
+    std::atomic<std::uint32_t> pushed{0};
+    std::atomic<bool> stop{false};
+    std::atomic<bool> illegal{false};
+
+    std::thread reader([&] {
+        std::vector<std::uint32_t> last(cap, 0);
+        while (!stop.load()) {
+            if (buf.size() > cap)
+                illegal = true;
+            for (std::uint32_t s = 0; s < cap; ++s) {
+                const LogicalPageId owner = buf.slotOwner(BufferSlotId(s));
+                if (!owner.valid())
+                    continue;
+                const auto page = static_cast<std::uint32_t>(owner.value());
+                if (page % cap != s || page >= pushed.load() ||
+                    page < last[s])
+                    illegal = true;
+                last[s] = page;
+            }
+        }
+    });
+
+    for (std::uint32_t n = 0; n < pages; ++n) {
+        if (buf.full() || buf.size() > (n % cap))
+            buf.popTail();
+        pushed.store(n + 1);
+        buf.push(LogicalPageId(n), 0);
+    }
+    stop = true;
+    reader.join();
+    EXPECT_FALSE(illegal.load());
 }
 
 TEST(WriteBufferDeathTest, PushWhenFullPanics)
