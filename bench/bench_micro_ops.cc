@@ -239,10 +239,10 @@ BM_EncodeDecode(benchmark::State &state)
 {
     // Wire-protocol round trip for one Ok Get response (the serve
     // front end's per-request encode + the client's decode).
-    // Arg(0)=1 is the hot path — encodeResponseInto() reusing one
-    // scratch buffer, as Server::respond does per connection — and
+    // Arg(0)=1 is the hot path — appendResponse() reusing one
+    // buffer's capacity, as a connection's ResponseWriter does — and
     // Arg(0)=0 the allocating encodeResponse() wrapper, so the pair
-    // prints what the scratch buffer buys per response.
+    // prints what the reused buffer buys per response.
     serve::Response resp;
     resp.op = serve::Op::Get;
     resp.requestId = 42;
@@ -254,7 +254,8 @@ BM_EncodeDecode(benchmark::State &state)
     for (auto _ : state) {
         serve::FrameDecoder dec;
         if (state.range(0)) {
-            serve::encodeResponseInto(resp, scratch);
+            scratch.clear();
+            serve::appendResponse(resp, scratch);
             dec.feed(scratch);
             bytes += scratch.size();
         } else {

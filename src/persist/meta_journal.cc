@@ -30,6 +30,19 @@ putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
         out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
+/**
+ * Append the file header: the magic, then a reserved zero u64.  Sized
+ * and copied in place rather than vector::insert of the magic, which
+ * GCC 12 under -fsanitize=thread reports as -Wstringop-overflow.
+ */
+void
+putHeader(std::vector<std::uint8_t> &out)
+{
+    const std::size_t at = out.size();
+    out.resize(at + MetaJournal::headerBytes);
+    std::memcpy(out.data() + at, MetaJournal::magic, 8);
+}
+
 std::uint32_t
 getU32(const std::uint8_t *p)
 {
@@ -119,8 +132,7 @@ MetaJournal::createFresh()
         ENVY_FATAL("persist: cannot create journal '", path_,
                    "': ", std::strerror(errno));
     std::vector<std::uint8_t> header;
-    header.insert(header.end(), magic, magic + 8);
-    putU64(header, 0); // reserved
+    putHeader(header);
     writeFully(fd_, header.data(), header.size(), 0, path_);
     endOff_ = headerBytes;
     seq_ = 1;
@@ -442,8 +454,7 @@ MetaJournal::checkpointFromImage(std::span<const std::uint8_t> image)
     MutexLock lock(journalMu_);
     std::vector<std::uint8_t> out;
     out.reserve(headerBytes + recordOverhead + image.size());
-    out.insert(out.end(), magic, magic + 8);
-    putU64(out, 0);
+    putHeader(out);
     appendRecord(out, recCheckpoint, image);
 
     const std::string tmp = tmpPath();

@@ -248,12 +248,12 @@ encodeRequest(const Request &req)
 }
 
 void
-encodeResponseInto(const Response &resp, std::vector<std::uint8_t> &out)
+appendResponse(const Response &resp, std::vector<std::uint8_t> &out)
 {
     // Header first, payload appended in place behind it; payloadLen
     // and checksum are patched once the size is known.  No temporary
     // payload vector: this is the per-request hot path.
-    out.clear();
+    const std::size_t base = out.size();
     putU16(out, kMagic);
     out.push_back(kProtocolVersion);
     out.push_back(static_cast<std::uint8_t>(resp.op) | kResponseBit);
@@ -291,24 +291,25 @@ encodeResponseInto(const Response &resp, std::vector<std::uint8_t> &out)
         break;
     }
 
-    const std::size_t payload_len = out.size() - kHeaderBytes;
+    std::uint8_t *const hdr = out.data() + base;
+    const std::size_t payload_len = out.size() - base - kHeaderBytes;
     ENVY_ASSERT(payload_len <= kMaxPayload,
                 "serve: encoding oversized frame (", payload_len,
                 " bytes)");
     for (int i = 0; i < 4; i++)
-        out[12 + i] =
+        hdr[12 + i] =
             static_cast<std::uint8_t>(payload_len >> (8 * i));
-    std::uint32_t sum = fnv1a({out.data(), kHeaderBytes});
-    sum = fnv1a({out.data() + kHeaderBytes, payload_len}, sum);
+    std::uint32_t sum = fnv1a({hdr, kHeaderBytes});
+    sum = fnv1a({hdr + kHeaderBytes, payload_len}, sum);
     for (int i = 0; i < 4; i++)
-        out[16 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+        hdr[16 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
 }
 
 std::vector<std::uint8_t>
 encodeResponse(const Response &resp)
 {
     std::vector<std::uint8_t> out;
-    encodeResponseInto(resp, out);
+    appendResponse(resp, out);
     return out;
 }
 

@@ -158,14 +158,13 @@ std::vector<std::uint8_t> encodeRequest(const Request &req);
 std::vector<std::uint8_t> encodeResponse(const Response &resp);
 
 /**
- * Encode @p resp into @p out, reusing its capacity.  The hot response
- * path (Server::respond, one call per request) encodes into a
- * per-connection scratch buffer instead of allocating a fresh vector
- * per response; after warm-up the encode is allocation-free.
+ * Append @p resp's frame to @p out, reusing its capacity.  The hot
+ * response path (ResponseWriter, one call per response) encodes
+ * straight onto a connection's pending bytes, behind the responses
+ * already queued there; after warm-up the encode is allocation-free.
  * encodeResponse() is the convenience wrapper over this.
  */
-void encodeResponseInto(const Response &resp,
-                        std::vector<std::uint8_t> &out);
+void appendResponse(const Response &resp, std::vector<std::uint8_t> &out);
 
 /** FNV-1a 32-bit, the frame checksum. */
 std::uint32_t fnv1a(std::span<const std::uint8_t> bytes,

@@ -34,6 +34,52 @@ admitRequest(std::size_t depth, std::size_t queueSoft,
     return AdmitDecision::Direct;
 }
 
+ResponseWriter::ResponseWriter(ByteStream &stream, obs::Counter sends,
+                               obs::Counter bytesOut)
+    : stream_(stream), sends_(sends), bytesOut_(bytesOut)
+{
+}
+
+bool
+ResponseWriter::append(const Response &resp)
+{
+    const std::thread::id self = std::this_thread::get_id();
+    MutexLock lock(mu_);
+    // Pending bytes are only ever queued behind an active flusher, so
+    // this waits for another thread's send to take them; a flusher
+    // appending to its own connection never waits on itself.
+    while (pending_.size() >= kMaxPendingBytes && flusher_ != self)
+        drainCv_.wait(lock);
+    appendResponse(resp, pending_);
+    if (flusher_ != std::thread::id())
+        return false;
+    flusher_ = self;
+    return true;
+}
+
+void
+ResponseWriter::flush()
+{
+    for (;;) {
+        bool wake;
+        {
+            MutexLock lock(mu_);
+            if (pending_.empty()) {
+                flusher_ = std::thread::id();
+                return;
+            }
+            wake = pending_.size() >= kMaxPendingBytes;
+            pending_.swap(outbox_);
+        }
+        if (wake)
+            drainCv_.notify_all();
+        stream_.write(outbox_);
+        sends_.add();
+        bytesOut_.add(outbox_.size());
+        outbox_.clear();
+    }
+}
+
 Server::Server(EnvyStore &store, KvEngine &engine,
                const ServeConfig &cfg)
     : store_(store), engine_(engine), cfg_(cfg)
@@ -80,6 +126,8 @@ Server::Server(EnvyStore &store, KvEngine &engine,
                               "request bytes received");
     metBytesOut_ = reg.counter("serve.bytes_out", "bytes",
                                "response bytes sent");
+    metSends_ = reg.counter("serve.sends", "sends",
+                            "response writes handed to the transport");
     metProtocolErrors_ =
         reg.counter("serve.protocol_errors", "connections",
                     "connections torn down on malformed frames");
@@ -132,8 +180,8 @@ Server::attach(ByteStreamPtr stream)
     ENVY_ASSERT(stream, "serve: attach() of a null stream");
     ENVY_ASSERT(!stopping_.load(std::memory_order_relaxed),
                 "serve: attach() after stop()");
-    auto conn = std::make_shared<Conn>();
-    conn->stream = std::move(stream);
+    auto conn = std::make_shared<Conn>(std::move(stream), metSends_,
+                                       metBytesOut_);
     {
         MutexLock lock(connMu_);
         conns_.push_back(conn);
@@ -400,20 +448,7 @@ Server::respond(const ConnPtr &conn, const Response &resp,
         else
             store_.persistFlush();
     }
-    writeResponse(conn, resp);
-}
-
-void
-Server::writeResponse(const ConnPtr &conn, const Response &resp)
-{
-    std::size_t n;
-    {
-        MutexLock lock(conn->writeMu);
-        encodeResponseInto(resp, conn->scratch);
-        conn->stream->write(conn->scratch);
-        n = conn->scratch.size();
-    }
-    metBytesOut_.add(n);
+    conn->writer.send(resp);
 }
 
 void
@@ -440,8 +475,15 @@ Server::commitLoop()
             store_.persistSync();
         else
             store_.persistFlush();
+        // Queue every ack first, then send once per connection this
+        // thread became the flusher of; the batch keeps each
+        // connection alive until then.
+        std::vector<ResponseWriter *> flushers;
         for (const PendingAck &ack : batch)
-            writeResponse(ack.conn, ack.resp);
+            if (ack.conn->writer.append(ack.resp))
+                flushers.push_back(&ack.conn->writer);
+        for (ResponseWriter *writer : flushers)
+            writer->flush();
         metCommitBatches_.add();
         {
             MutexLock lock(histMu_);

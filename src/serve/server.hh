@@ -12,7 +12,8 @@
  *    through admission control into a bounded work queue; a fixed
  *    pool of worker threads drains the queue, executes against the
  *    engine (meeting the PR 8 sharded controller underneath) and
- *    writes responses back under the connection's write lock.
+ *    hands responses to the connection's coalescing ResponseWriter
+ *    (one send per burst, see below).
  *  - **Pump** (cfg.workers == 0): no threads at all.  pump() drains
  *    whatever bytes the attached loopbacks hold and executes every
  *    complete request inline, deterministically — the mode the
@@ -40,17 +41,18 @@
  * a key); that is the discipline the history tests verify.
  *
  * Durable ack-prefix contract (cfg.durableAcks, docs/SERVING.md §3):
- * a mutation's ack bytes are handed to the transport only after a
- * journal flush covering that mutation completed, so at any SIGKILL
- * the set of acks each client has observed names only mutations that
- * survive restart — acked writes are never lost, and unacked writes
- * may or may not survive.  On a serial persistent store the flush is
- * inline per response.  On a *concurrent* persistent store (PR 10) a
- * commit thread batches: workers enqueue mutated responses on the
- * commit queue, the thread drains a batch, joins ONE CommitPipeline
- * flush epoch for all of them, then writes every ack — N in-flight
- * PUTs share one journal append without weakening the prefix
- * property (enqueue precedes flush precedes ack, per response).
+ * a mutation's ack bytes are encoded (and so reach the transport)
+ * only after a journal flush covering that mutation completed, so at
+ * any SIGKILL the set of acks each client has observed names only
+ * mutations that survive restart — acked writes are never lost, and
+ * unacked writes may or may not survive.  On a serial persistent
+ * store the flush is inline per response.  On a *concurrent*
+ * persistent store (PR 10) a commit thread batches: workers enqueue
+ * mutated responses on the commit queue, the thread drains a batch,
+ * joins ONE CommitPipeline flush epoch for all of them, then queues
+ * every ack and sends once per connection — N in-flight PUTs share
+ * one journal append without weakening the prefix property (enqueue
+ * precedes flush precedes ack, per response).
  */
 
 #ifndef ENVY_SERVE_SERVER_HH
@@ -137,6 +139,82 @@ enum class StatField : std::size_t
     NumFields,
 };
 
+/**
+ * One connection's coalescing response writer (docs/SERVING.md §3,
+ * "Write path").
+ *
+ * Several threads answer on one connection: the protocol workers,
+ * the reader (shed responses), pump() and the group-commit thread.
+ * Instead of one send per response under a per-connection lock, the
+ * writer combines them (flat combining):
+ *
+ *  - append() encodes the response under mu_ straight onto the
+ *    pending bytes, behind whatever is already queued there;
+ *  - if no thread is sending on the connection, the appender becomes
+ *    the flusher.  flush() swaps the pending bytes out, drops mu_,
+ *    hands all of them to ONE ByteStream::write() and repeats until
+ *    nothing is pending;
+ *  - an appender that finds a flusher active just returns: its bytes
+ *    leave in the flusher's next write.
+ *
+ * Byte order on the stream is append order.  Pending bytes are
+ * bounded: an appender that finds kMaxPendingBytes or more queued
+ * behind another thread's send waits on drainCv_ until that flusher
+ * swaps them out — the same stall as a worker blocked in send().  A
+ * thread never waits on its own flush: the commit thread appends a
+ * whole batch of acks before it flushes the connections it took.
+ */
+class ResponseWriter
+{
+  public:
+    /** Pending bytes at which a non-flushing appender waits. */
+    static constexpr std::size_t kMaxPendingBytes = 64 * 1024;
+
+    /**
+     * @p stream outlives the writer.  @p sends counts write() calls
+     * and @p bytesOut the bytes handed to them (serve.sends and
+     * serve.bytes_out under the server).
+     */
+    ResponseWriter(ByteStream &stream, obs::Counter sends,
+                   obs::Counter bytesOut);
+
+    ResponseWriter(const ResponseWriter &) = delete;
+    ResponseWriter &operator=(const ResponseWriter &) = delete;
+
+    /**
+     * Encode @p resp behind the pending bytes.  True when the calling
+     * thread just became the flusher and must call flush(); false
+     * when a flusher (possibly this thread) already holds the role.
+     */
+    bool append(const Response &resp);
+
+    /** Flusher only: write until nothing is pending, then resign. */
+    void flush();
+
+    /** append(), then flush() if that made this thread the flusher. */
+    void
+    send(const Response &resp)
+    {
+        if (append(resp))
+            flush();
+    }
+
+  private:
+    ByteStream &stream_;
+    obs::Counter sends_;
+    obs::Counter bytesOut_;
+
+    Mutex mu_;
+    std::condition_variable_any drainCv_; //!< waits on mu_
+    /** Encoded responses not yet handed to write(), in append order. */
+    std::vector<std::uint8_t> pending_ ENVY_GUARDED_BY(mu_);
+    /** The thread sending for this connection; id() when none. */
+    std::thread::id flusher_ ENVY_GUARDED_BY(mu_);
+    /** The bytes of the write in progress.  Owned by the flusher, not
+     *  mu_: only the thread holding the role touches it. */
+    std::vector<std::uint8_t> outbox_;
+};
+
 class Server
 {
   public:
@@ -179,13 +257,14 @@ class Server
   private:
     struct Conn
     {
+        Conn(ByteStreamPtr s, obs::Counter sends, obs::Counter bytesOut)
+            : stream(std::move(s)), writer(*stream, sends, bytesOut)
+        {}
+
         ByteStreamPtr stream;
+        ResponseWriter writer; //!< every response leaves through it
         FrameDecoder decoder;
         std::thread reader;   //!< threaded mode only
-        Mutex writeMu;        //!< serialises response writes
-        /** Response encode scratch, reused under writeMu: the encode
-         *  is allocation-free once the buffer has warmed up. */
-        std::vector<std::uint8_t> scratch ENVY_GUARDED_BY(writeMu);
         bool dead = false;    //!< protocol error or peer close
     };
     using ConnPtr = std::shared_ptr<Conn>;
@@ -216,8 +295,6 @@ class Server
     Response execute(const Request &req);
     void respond(const ConnPtr &conn, const Response &resp,
                  bool mutated);
-    /** Encode into the connection scratch and write, under writeMu. */
-    void writeResponse(const ConnPtr &conn, const Response &resp);
     void workerLoop();
     /** Group-commit drain: batch -> one flush -> acks (PR 10). */
     void commitLoop();
@@ -257,6 +334,7 @@ class Server
     obs::Counter metBackpressureSignals_;
     obs::Counter metBytesIn_;
     obs::Counter metBytesOut_;
+    obs::Counter metSends_;
     obs::Counter metProtocolErrors_;
     obs::Counter metCommitBatches_;
     obs::Gauge metQueueDepth_;

@@ -222,11 +222,12 @@ TEST(Concurrency, SingleThreadedDriverMatchesSerialMode)
 
 TEST(Concurrency, BackpressureIsCountedAndNeverDeadlocks)
 {
-    // Satellite (d): producers outrun the cleaner.  High utilization
-    // exhausts free slots, and a floor watermark keeps the single
-    // cleaner from cleaning ahead, so full-buffer flushes find no
-    // ready destination: the producer must take the counted-wait
-    // path, and the inline slow path guarantees forward progress.
+    // Producers outrun the cleaner.  High utilization exhausts free
+    // slots, and the cleaner pool is stopped while the churn fills
+    // them, so full-buffer flushes find no ready destination: the
+    // producer must take the counted-wait path, and the inline slow
+    // path guarantees forward progress.  (A running cleaner could
+    // clean ahead and make the wait depend on the thread schedule.)
     EnvyConfig cfg = CrashExplorerConfig::churnStore();
     cfg.geom.logicalPages = 800; // ~89% of the 896 usable slots
     cfg.policy = PolicyKind::Greedy;
@@ -234,8 +235,11 @@ TEST(Concurrency, BackpressureIsCountedAndNeverDeadlocks)
     cfg.numCleaners = 1;
     cfg.cleanerWatermark = 1; // engage only at zero free pages
     EnvyStore store(cfg);
+    ASSERT_NE(store.cleanerPool(), nullptr);
 
+    store.cleanerPool()->stop();
     churnDisjointStripes(store, 4, 300);
+    store.cleanerPool()->start();
     store.flushAll();
 
     const obs::MetricsSnapshot snap = store.metrics().snapshot();

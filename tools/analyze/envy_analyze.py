@@ -128,8 +128,9 @@ EXEMPT_CVS = (
     "queueSpace_", "queueWork_", "allDone_",
     # The serve layer (docs/SERVING.md §3): the loopback pipe's
     # dataCv_ on the pipe mutex, the server's workCv_ on the
-    # admission queue mutex, its commitCv_ on the commit-queue mutex.
-    "dataCv_", "workCv_", "commitCv_",
+    # admission queue mutex, its commitCv_ on the commit-queue mutex,
+    # a ResponseWriter's drainCv_ on that connection's writer mutex.
+    "dataCv_", "workCv_", "commitCv_", "drainCv_",
     # The commit pipeline (docs/PERSISTENCE.md §group-commit):
     # doneCv_ parks persistFlush() callers on the pipeline's leaf
     # mutex until their epoch lands.

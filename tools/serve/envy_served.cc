@@ -175,6 +175,7 @@ main(int argc, char **argv)
                 "  batch ops  %llu\n"
                 "  shed       %llu\n"
                 "  queued     %llu\n"
+                "  sends      %llu\n"
                 "  keys       %llu\n",
                 static_cast<unsigned long long>(
                     snap.counter("serve.requests")),
@@ -184,6 +185,8 @@ main(int argc, char **argv)
                     snap.counter("serve.shed")),
                 static_cast<unsigned long long>(
                     snap.counter("serve.queued")),
+                static_cast<unsigned long long>(
+                    snap.counter("serve.sends")),
                 static_cast<unsigned long long>(
                     engine->keyCount()));
     return 0;
